@@ -7,7 +7,8 @@
 //!    several random phase settings) and record detector powers;
 //! 2. fit the model's flat error vector `e = (γ…, attenuation…, phase…)` by
 //!    damped Gauss-Newton on the residual
-//!    `r(e) = [ |y_model(x_p; θ_s, e)|² − measured ]_{s,p}`;
+//!    `r(e) = [ |y_model(x_p; θ_s, e)|² − measured ]_{s,p}`, with the exact
+//!    Jacobian from one reverse sweep per probe ([`CalibrationProblem`]);
 //! 3. return the estimated [`ErrorVector`] and the calibrated [`Network`].
 //!
 //! The fit touches only the software model — chip queries are spent solely
@@ -15,11 +16,13 @@
 
 use rand::Rng;
 
-use photon_linalg::{LinalgError, RVector};
-use photon_photonics::{ErrorVector, Network, NetworkError, NetworkScratch, OnnChip};
+use photon_linalg::{CVector, LinalgError, RMatrix, RVector, C64};
+use photon_photonics::{
+    Architecture, ErrorRows, ErrorVector, Network, NetworkError, NetworkScratch, OnnChip,
+};
 use photon_trace::{QueryCategory, TraceEvent, TraceHandle};
 
-use crate::gauss_newton::{levenberg_marquardt, LmSettings};
+use crate::gauss_newton::{fit_least_squares, LeastSquares, LmSettings};
 use crate::probe::{measure_chip, Measurements, ProbePlan};
 
 /// Calibration hyperparameters.
@@ -283,6 +286,112 @@ pub fn calibrate_from_measurements<C: OnnChip>(
     fit_measurements(chip, plan, measured, lm, RVector::zeros(n_bs + 2 * n_ps))
 }
 
+/// The calibration fit as a least-squares problem over the flat error
+/// vector ([`ErrorVector::to_flat`] layout): the detector-power residuals
+/// of the model built from those errors against a measurement sweep.
+///
+/// The Jacobian is exact: one taped forward per `(setting, input)` and one
+/// backward sweep carrying the `K` detector cotangents `2·y_d·e_d` together
+/// ([`Network::error_vjp`]). A dropped or non-finite reading has its
+/// residual entry and its Jacobian row zeroed, which removes that detector
+/// sample from the objective.
+///
+/// Evaluating at a vector whose length is not the architecture's
+/// `n_bs + 2·n_ps`, or with measurements not shaped like the plan, panics.
+#[derive(Debug)]
+pub struct CalibrationProblem<'a> {
+    arch: &'a Architecture,
+    plan: &'a ProbePlan,
+    measured: &'a Measurements,
+    scratch: NetworkScratch,
+}
+
+impl<'a> CalibrationProblem<'a> {
+    /// The fit of `arch`'s error vector to `measured`, the chip's responses
+    /// to `plan`.
+    pub fn new(arch: &'a Architecture, plan: &'a ProbePlan, measured: &'a Measurements) -> Self {
+        CalibrationProblem {
+            arch,
+            plan,
+            measured,
+            scratch: NetworkScratch::new(),
+        }
+    }
+
+    fn model(&self, flat: &RVector) -> Network {
+        let (n_bs, n_ps) = self.arch.error_slots();
+        let errors = ErrorVector::from_flat(n_bs, n_ps, flat.as_slice())
+            .expect("flat error vector must match the architecture's slots");
+        self.arch
+            .build_with_errors(&errors)
+            .expect("flat layout matches the architecture")
+    }
+
+    /// The residual of one detector power against its reading; `None` when
+    /// either is non-finite, for the caller to zero.
+    fn power_residual(y: C64, target: f64) -> Option<f64> {
+        let e = y.norm_sqr() - target;
+        e.is_finite().then_some(e)
+    }
+}
+
+impl LeastSquares for CalibrationProblem<'_> {
+    fn residual(&mut self, flat: &RVector) -> RVector {
+        let model = self.model(flat);
+        let k_out = model.output_dim();
+        let mut r = RVector::zeros(self.plan.residual_count(k_out));
+        let mut idx = 0;
+        for (s, theta) in self.plan.settings.iter().enumerate() {
+            for (p, x) in self.plan.inputs.iter().enumerate() {
+                let y = model.forward_into(x, theta, &mut self.scratch);
+                let target = &self.measured.powers[s][p];
+                for d in 0..k_out {
+                    r[idx] = Self::power_residual(y[d], target[d]).unwrap_or(0.0);
+                    idx += 1;
+                }
+            }
+        }
+        r
+    }
+
+    fn jacobian(&mut self, flat: &RVector, _r: &RVector) -> RMatrix {
+        let model = self.model(flat);
+        let (n_bs, n_ps) = self.arch.error_slots();
+        let k_out = model.output_dim();
+        let width = n_bs + 2 * n_ps;
+        let mut jac = RMatrix::zeros(self.plan.residual_count(k_out), width);
+        let mut tape = model.new_tape();
+        let mut y = CVector::zeros(k_out);
+        let mut gys = vec![CVector::zeros(k_out); k_out];
+        let mut block = 0;
+        for (s, theta) in self.plan.settings.iter().enumerate() {
+            for (p, x) in self.plan.inputs.iter().enumerate() {
+                model.forward_tape_into(x, theta, &mut self.scratch, &mut y, &mut tape);
+                let target = &self.measured.powers[s][p];
+                // ∂|y_d|²/∂Re(y), ∂/∂Im(y) = 2·(Re y_d, Im y_d) on port d.
+                for (d, g) in gys.iter_mut().enumerate() {
+                    g.as_mut_slice().fill(C64::ZERO);
+                    g[d] = y[d].scale(2.0);
+                }
+                let rows = &mut jac.as_mut_slice()[block * width..(block + k_out) * width];
+                model.error_vjp(
+                    &tape,
+                    theta,
+                    &mut gys,
+                    &mut ErrorRows::new(rows, n_bs, n_ps),
+                );
+                for d in 0..k_out {
+                    if Self::power_residual(y[d], target[d]).is_none() {
+                        rows[d * width..(d + 1) * width].fill(0.0);
+                    }
+                }
+                block += k_out;
+            }
+        }
+        jac
+    }
+}
+
 /// Shared fit body: damped Gauss-Newton on the power residuals, starting
 /// from `init` (zeros for a cold calibration, the prior errors for an
 /// incremental recalibration).
@@ -293,40 +402,10 @@ fn fit_measurements<C: OnnChip>(
     lm: &LmSettings,
     init: RVector,
 ) -> Result<CalibrationOutcome, CalibError> {
-    let arch = chip.architecture().clone();
+    let arch = chip.architecture();
+    let mut problem = CalibrationProblem::new(arch, plan, measured);
+    let fit = fit_least_squares(&mut problem, &init, lm)?;
     let (n_bs, n_ps) = arch.error_slots();
-    let k_out = chip.output_dim();
-    let n_residuals = plan.residual_count(k_out);
-
-    // One forward scratch for every residual evaluation of the whole fit:
-    // the inner probe sweep performs no per-sample heap allocation.
-    let mut scratch = NetworkScratch::new();
-    let mut residual = |flat: &RVector| -> RVector {
-        let errors = ErrorVector::from_flat(n_bs, n_ps, flat.as_slice())
-            .expect("length constructed to match");
-        let model = arch
-            .build_with_errors(&errors)
-            .expect("flat layout matches the architecture");
-        let mut r = RVector::zeros(n_residuals);
-        let mut idx = 0;
-        for (s, theta) in plan.settings.iter().enumerate() {
-            for (p, x) in plan.inputs.iter().enumerate() {
-                let y = model.forward_into(x, theta, &mut scratch);
-                let target = &measured.powers[s][p];
-                for d in 0..k_out {
-                    // A dropped/NaN reading must not poison the whole fit:
-                    // its residual entry is zeroed, removing that detector
-                    // sample from the least-squares objective.
-                    let e = y[d].norm_sqr() - target[d];
-                    r[idx] = if e.is_finite() { e } else { 0.0 };
-                    idx += 1;
-                }
-            }
-        }
-        r
-    };
-
-    let fit = levenberg_marquardt(&mut residual, &init, lm)?;
     let errors = ErrorVector::from_flat(n_bs, n_ps, fit.params.as_slice())
         .expect("length constructed to match");
     let model = arch.build_with_errors(&errors)?;

@@ -1,18 +1,57 @@
-//! Damped Gauss-Newton (Levenberg-Marquardt) nonlinear least squares with a
-//! finite-difference Jacobian.
+//! Damped Gauss-Newton (Levenberg-Marquardt) nonlinear least squares.
 //!
-//! The calibrator fits the error vector of a software model to chip
-//! measurements; the residual function is a cheap white-box model
-//! evaluation, so finite differences cost no chip queries.
+//! A problem supplies its residual and its Jacobian ([`LeastSquares`]). The
+//! calibrator's problem computes the Jacobian exactly in reverse mode; a
+//! bare residual closure ([`levenberg_marquardt`]) falls back to forward
+//! differences. Either way the fit runs on the software model and costs no
+//! chip queries.
 
 use photon_linalg::{LinalgError, RCholesky, RMatrix, RVector};
+
+/// A nonlinear least-squares problem `min ‖r(x)‖²`.
+pub trait LeastSquares {
+    /// The residual vector `r(x)`.
+    fn residual(&mut self, x: &RVector) -> RVector;
+
+    /// The Jacobian `∂r/∂x` at `x` (`m × n`, row `i` the gradient of
+    /// `r[i]`); `r` is `self.residual(x)`, already evaluated.
+    fn jacobian(&mut self, x: &RVector, r: &RVector) -> RMatrix;
+}
+
+/// A bare residual closure, differentiated by forward differences.
+struct ForwardDifference<'f> {
+    residual: &'f mut dyn FnMut(&RVector) -> RVector,
+    step: f64,
+}
+
+impl LeastSquares for ForwardDifference<'_> {
+    fn residual(&mut self, x: &RVector) -> RVector {
+        (self.residual)(x)
+    }
+
+    fn jacobian(&mut self, x: &RVector, r: &RVector) -> RMatrix {
+        let (m, n) = (r.len(), x.len());
+        let mut jac = RMatrix::zeros(m, n);
+        for k in 0..n {
+            let mut xp = x.clone();
+            xp[k] += self.step;
+            let rp = (self.residual)(&xp);
+            for row in 0..m {
+                jac[(row, k)] = (rp[row] - r[row]) / self.step;
+            }
+        }
+        jac
+    }
+}
 
 /// Levenberg-Marquardt hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LmSettings {
     /// Maximum outer iterations.
     pub max_iters: usize,
-    /// Forward-difference step for the Jacobian.
+    /// Forward-difference step for the Jacobian of a bare residual closure
+    /// ([`levenberg_marquardt`]); problems with their own Jacobian ignore
+    /// it.
     pub fd_step: f64,
     /// Initial damping λ.
     pub lambda_init: f64,
@@ -53,7 +92,8 @@ pub struct LmResult {
     pub converged: bool,
 }
 
-/// Minimizes `‖r(x)‖²` starting from `init`.
+/// Minimizes `‖r(x)‖²` for a bare residual closure starting from `init`,
+/// with a forward-difference Jacobian (step [`LmSettings::fd_step`]).
 ///
 /// # Errors
 ///
@@ -83,9 +123,28 @@ pub fn levenberg_marquardt(
     init: &RVector,
     settings: &LmSettings,
 ) -> Result<LmResult, LinalgError> {
+    let mut problem = ForwardDifference {
+        residual,
+        step: settings.fd_step,
+    };
+    fit_least_squares(&mut problem, init, settings)
+}
+
+/// Minimizes `‖r(x)‖²` for `problem`, with its own Jacobian, starting from
+/// `init`.
+///
+/// # Errors
+///
+/// Propagates factorization failures of the damped normal equations (does
+/// not occur for positive damping).
+pub fn fit_least_squares<P: LeastSquares + ?Sized>(
+    problem: &mut P,
+    init: &RVector,
+    settings: &LmSettings,
+) -> Result<LmResult, LinalgError> {
     let n = init.len();
     let mut x = init.clone();
-    let mut r = residual(&x);
+    let mut r = problem.residual(&x);
     let mut cost = r.norm_sqr();
     let initial_cost = cost;
     let mut lambda = settings.lambda_init;
@@ -94,24 +153,15 @@ pub fn levenberg_marquardt(
 
     for _ in 0..settings.max_iters {
         iterations += 1;
-        // Forward-difference Jacobian (m × n).
+        let jac = problem.jacobian(&x, &r);
         let m = r.len();
-        let mut jac = RMatrix::zeros(m, n);
-        for k in 0..n {
-            let mut xp = x.clone();
-            xp[k] += settings.fd_step;
-            let rp = residual(&xp);
-            for row in 0..m {
-                jac[(row, k)] = (rp[row] - r[row]) / settings.fd_step;
-            }
-        }
         // For over-parameterized fits (m < n, the common calibration case)
         // solve in the m-dimensional residual space via the push-through
         // identity (JᵀJ + λI)⁻¹Jᵀ = Jᵀ(JJᵀ + λI)⁻¹ — the factorization
         // drops from O(n³) to O(m³).
         let dual = m < n;
         let (gram, jtr) = if dual {
-            (jac.transpose().gram(), RVector::zeros(0))
+            (jac.row_gram(), RVector::zeros(0))
         } else {
             (jac.gram(), jac.transpose_mul_vec(&r)?)
         };
@@ -137,7 +187,7 @@ pub fn levenberg_marquardt(
             };
             let mut trial = x.clone();
             trial.axpy(-1.0, &delta);
-            let r_trial = residual(&trial);
+            let r_trial = problem.residual(&trial);
             let cost_trial = r_trial.norm_sqr();
             if cost_trial < cost {
                 let rel_gain = (cost - cost_trial) / cost.max(1e-300);

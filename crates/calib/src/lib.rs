@@ -9,8 +9,9 @@
 //! 1. [`ProbePlan`] drives the chip with basis + Haar-random inputs at
 //!    several random phase settings (each pair = one chip query);
 //! 2. [`calibrate`] fits the model's per-component error vector by damped
-//!    Gauss-Newton ([`levenberg_marquardt`]) on the power residuals — the
-//!    fit runs entirely on the free software model;
+//!    Gauss-Newton ([`fit_least_squares`]) on the power residuals, with the
+//!    exact reverse-mode Jacobian of [`CalibrationProblem`] — the fit runs
+//!    entirely on the free software model;
 //! 3. [`evaluate_model`] scores the result on held-out probes
 //!    (field/power fidelity), and `ErrorVector::rmse` against
 //!    `FabricatedChip::oracle_errors` scores parameter recovery.
@@ -28,8 +29,11 @@ mod probe;
 
 pub use calibrator::{
     calibrate, calibrate_from_measurements, calibrate_traced, recalibrate,
-    recalibrate_from_measurements, CalibError, CalibrationOutcome, CalibrationSettings,
+    recalibrate_from_measurements, CalibError, CalibrationOutcome, CalibrationProblem,
+    CalibrationSettings,
 };
 pub use fidelity::{evaluate_model, field_fidelity, power_fidelity, FidelityReport};
-pub use gauss_newton::{levenberg_marquardt, LmResult, LmSettings};
+pub use gauss_newton::{
+    fit_least_squares, levenberg_marquardt, LeastSquares, LmResult, LmSettings,
+};
 pub use probe::{measure_chip, measure_chip_pooled, Measurements, ProbePlan};

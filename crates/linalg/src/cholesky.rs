@@ -50,21 +50,45 @@ impl RCholesky {
         let n = a.rows();
         let mut l = RMatrix::zeros(n, n);
         for j in 0..n {
+            let data = l.as_mut_slice();
+            let lj = &data[j * n..j * n + j];
             let mut d = a[(j, j)];
-            for k in 0..j {
-                d -= l[(j, k)] * l[(j, k)];
+            for &x in lj {
+                d -= x * x;
             }
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::NotPositiveDefinite);
             }
             let dj = d.sqrt();
-            l[(j, j)] = dj;
-            for i in j + 1..n {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
+            // Column j below the pivot, four rows per pass over row j's
+            // prefix. Each row keeps its own accumulator and subtracts in k
+            // order, so the bits match the one-row-at-a-time loop.
+            let (head, tail) = data.split_at_mut((j + 1) * n);
+            head[j * n + j] = dj;
+            let lj = &head[j * n..j * n + j];
+            let mut i = j + 1;
+            while i + 4 <= n {
+                let base = (i - j - 1) * n;
+                let rows = &tail[base..base + 4 * n];
+                let mut s = [a[(i, j)], a[(i + 1, j)], a[(i + 2, j)], a[(i + 3, j)]];
+                for (k, &x) in lj.iter().enumerate() {
+                    s[0] -= rows[k] * x;
+                    s[1] -= rows[n + k] * x;
+                    s[2] -= rows[2 * n + k] * x;
+                    s[3] -= rows[3 * n + k] * x;
                 }
-                l[(i, j)] = s / dj;
+                for (r, v) in s.iter().enumerate() {
+                    tail[base + r * n + j] = v / dj;
+                }
+                i += 4;
+            }
+            for i in i..n {
+                let row = &mut tail[(i - j - 1) * n..(i - j) * n];
+                let mut s = a[(i, j)];
+                for (&x, &y) in row[..j].iter().zip(lj) {
+                    s -= x * y;
+                }
+                row[j] = s / dj;
             }
         }
         Ok(RCholesky { l })
@@ -280,6 +304,50 @@ mod tests {
         let x = chol.solve(&b).unwrap();
         assert!((&x - &x_true).max_abs() < 1e-10);
         assert!(chol.solve(&RVector::zeros(2)).is_err());
+    }
+
+    /// The one-row-at-a-time factorization loop `RCholesky::new` replaced,
+    /// kept as its bitwise reference.
+    fn cholesky_reference(a: &RMatrix) -> RMatrix {
+        let n = a.rows();
+        let mut l = RMatrix::zeros(n, n);
+        for j in 0..n {
+            let mut d = a[(j, j)];
+            for k in 0..j {
+                d -= l[(j, k)] * l[(j, k)];
+            }
+            let dj = d.sqrt();
+            l[(j, j)] = dj;
+            for i in j + 1..n {
+                let mut s = a[(i, j)];
+                for k in 0..j {
+                    s -= l[(i, k)] * l[(j, k)];
+                }
+                l[(i, j)] = s / dj;
+            }
+        }
+        l
+    }
+
+    #[test]
+    fn real_factor_matches_reference_bitwise() {
+        // Sizes around the four-row blocking, plus one large enough for
+        // many full blocks.
+        for n in [1, 2, 3, 4, 5, 8, 11, 67] {
+            let b = RMatrix::from_fn(n + 3, n, |r, c| ((r * 13 + c * 7) as f64 * 0.41).cos());
+            let mut a = b.gram();
+            a.add_diagonal(0.1);
+            let got = RCholesky::new(&a).unwrap();
+            let want = cholesky_reference(&a);
+            assert!(
+                got.factor()
+                    .as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "factor differs at n = {n}"
+            );
+        }
     }
 
     #[test]

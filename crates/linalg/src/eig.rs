@@ -1,4 +1,5 @@
-//! Jacobi eigensolvers for real symmetric and complex Hermitian matrices.
+//! Eigensolvers: Householder tridiagonalisation plus implicit QL for real
+//! symmetric matrices, cyclic Jacobi rotations for complex Hermitian ones.
 
 use crate::c64::C64;
 use crate::cmatrix::CMatrix;
@@ -8,6 +9,9 @@ use crate::rvector::RVector;
 
 /// Maximum number of Jacobi sweeps before giving up.
 const MAX_SWEEPS: usize = 100;
+
+/// Maximum implicit-QL iterations spent on one eigenvalue before giving up.
+const MAX_QL_ITERS: usize = 64;
 
 /// Eigendecomposition `A = V·diag(λ)·Vᵀ` of a real symmetric matrix.
 ///
@@ -32,14 +36,18 @@ pub struct HermitianEig {
     pub vectors: CMatrix,
 }
 
-/// Computes the eigendecomposition of a real symmetric matrix by cyclic
-/// Jacobi rotations.
+/// Computes the eigendecomposition of a real symmetric matrix: Householder
+/// reduction to tridiagonal form, then the implicit QL algorithm with
+/// Wilkinson-style shifts (the EISPACK `tred2`/`tql2` pair), `O(n³)` with a
+/// small constant.
+///
+/// The input is symmetrized first, `(A + Aᵀ)/2`.
 ///
 /// # Errors
 ///
 /// [`LinalgError::NotSquare`] for non-square input and
-/// [`LinalgError::NoConvergence`] if the off-diagonal mass fails to vanish
-/// within the sweep budget (does not occur for finite symmetric input).
+/// [`LinalgError::NoConvergence`] if one eigenvalue takes more than the QL
+/// iteration budget (does not occur for finite symmetric input).
 ///
 /// # Examples
 ///
@@ -62,75 +70,209 @@ pub fn symmetric_eig(a: &RMatrix) -> Result<SymmetricEig> {
     let n = a.rows();
     let mut m = a.clone();
     m.symmetrize();
-    let mut v = RMatrix::identity(n);
-    let scale = m.max_abs().max(1.0);
-    let tol = f64::EPSILON * scale * n as f64;
-
-    for sweep in 0..MAX_SWEEPS {
-        let mut off = 0.0f64;
-        for p in 0..n {
-            for q in p + 1..n {
-                off = off.max(m[(p, q)].abs());
-            }
-        }
-        if off <= tol {
-            return Ok(sorted_sym(m, v));
-        }
-        let _ = sweep;
-        for p in 0..n {
-            for q in p + 1..n {
-                let apq = m[(p, q)];
-                if apq.abs() <= tol * 1e-2 {
-                    continue;
-                }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
-                let tau = (aqq - app) / (2.0 * apq);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-
-                for k in 0..n {
-                    if k == p || k == q {
-                        continue;
-                    }
-                    let akp = m[(k, p)];
-                    let akq = m[(k, q)];
-                    m[(k, p)] = c * akp - s * akq;
-                    m[(p, k)] = m[(k, p)];
-                    m[(k, q)] = s * akp + c * akq;
-                    m[(q, k)] = m[(k, q)];
-                }
-                m[(p, p)] = c * c * app - 2.0 * s * c * apq + s * s * aqq;
-                m[(q, q)] = s * s * app + 2.0 * s * c * apq + c * c * aqq;
-                m[(p, q)] = 0.0;
-                m[(q, p)] = 0.0;
-
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
-            }
-        }
+    // `w` holds the transformation matrix V transposed (row-major Vᵀ), so
+    // the column walks of the textbook algorithm become contiguous row
+    // walks. A symmetric start needs no transpose.
+    let mut w = m.as_slice().to_vec();
+    let mut d = vec![0.0; n];
+    let mut e = vec![0.0; n];
+    if n > 0 {
+        tridiagonalize(n, &mut w, &mut d, &mut e);
+        ql_implicit(n, &mut w, &mut d, &mut e)?;
     }
-    Err(LinalgError::NoConvergence {
-        iterations: MAX_SWEEPS,
-    })
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.sort_by(|&i, &j| d[i].total_cmp(&d[j]));
+    let values = RVector::from_fn(n, |i| d[idx[i]]);
+    // Row i of Vᵀ is the eigenvector of d[i].
+    let vectors = RMatrix::from_fn(n, n, |r, c| w[idx[c] * n + r]);
+    Ok(SymmetricEig { values, vectors })
 }
 
-fn sorted_sym(m: RMatrix, v: RMatrix) -> SymmetricEig {
-    let n = m.rows();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&i, &j| m[(i, i)].partial_cmp(&m[(j, j)]).unwrap());
-    let values = RVector::from_fn(n, |i| m[(idx[i], idx[i])]);
-    let vectors = RMatrix::from_fn(n, n, |r, c| v[(r, idx[c])]);
-    SymmetricEig { values, vectors }
+/// Householder reduction of the symmetric matrix held in `w` to tridiagonal
+/// form (`tred2`): on return `d` is the diagonal, `e[1..]` the subdiagonal
+/// (`e[0] = 0`) and `w` holds Vᵀ, the accumulated orthogonal
+/// transformation, transposed. `V[r][c]` lives at `w[c·n + r]`.
+fn tridiagonalize(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
+    for j in 0..n {
+        d[j] = w[j * n + n - 1];
+    }
+    for i in (1..n).rev() {
+        let mut scale = 0.0;
+        let mut h = 0.0;
+        for &x in &d[..i] {
+            scale += x.abs();
+        }
+        if scale == 0.0 {
+            e[i] = d[i - 1];
+            for j in 0..i {
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
+                w[i * n + j] = 0.0;
+            }
+        } else {
+            // Generate the Householder vector.
+            for x in &mut d[..i] {
+                *x /= scale;
+                h += *x * *x;
+            }
+            let mut f = d[i - 1];
+            let mut g = h.sqrt();
+            if f > 0.0 {
+                g = -g;
+            }
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            e[..i].fill(0.0);
+            // Apply the similarity transformation to the remaining columns.
+            for j in 0..i {
+                f = d[j];
+                w[i * n + j] = f;
+                let col = &w[j * n..j * n + i];
+                g = e[j] + col[j] * f;
+                for k in j + 1..i {
+                    g += col[k] * d[k];
+                    e[k] += col[k] * f;
+                }
+                e[j] = g;
+            }
+            f = 0.0;
+            for j in 0..i {
+                e[j] /= h;
+                f += e[j] * d[j];
+            }
+            let hh = f / (h + h);
+            for j in 0..i {
+                e[j] -= hh * d[j];
+            }
+            for j in 0..i {
+                f = d[j];
+                g = e[j];
+                let col = &mut w[j * n..j * n + i];
+                for k in j..i {
+                    col[k] -= f * e[k] + g * d[k];
+                }
+                d[j] = col[i - 1];
+                w[j * n + i] = 0.0;
+            }
+        }
+        d[i] = h;
+    }
+    // Accumulate the transformations.
+    for i in 0..n - 1 {
+        w[i * n + n - 1] = w[i * n + i];
+        w[i * n + i] = 1.0;
+        let h = d[i + 1];
+        if h != 0.0 {
+            for k in 0..=i {
+                d[k] = w[(i + 1) * n + k] / h;
+            }
+            for j in 0..=i {
+                let (head, tail) = w.split_at_mut((i + 1) * n);
+                let next = &tail[..=i];
+                let col = &mut head[j * n..j * n + i + 1];
+                let mut g = 0.0;
+                for (a, b) in next.iter().zip(col.iter()) {
+                    g += a * b;
+                }
+                for (x, dk) in col.iter_mut().zip(&d[..=i]) {
+                    *x -= g * dk;
+                }
+            }
+        }
+        w[(i + 1) * n..(i + 1) * n + i + 1].fill(0.0);
+    }
+    for j in 0..n {
+        d[j] = w[j * n + n - 1];
+        w[j * n + n - 1] = 0.0;
+    }
+    w[n * n - 1] = 1.0;
+    e[0] = 0.0;
+}
+
+/// Implicit QL iteration on the tridiagonal matrix `(d, e)` from
+/// [`tridiagonalize`] (`tql2`), rotating the rows of Vᵀ in `w` along.
+/// Leaves the eigenvalues, unsorted, in `d`.
+fn ql_implicit(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Result<()> {
+    for i in 1..n {
+        e[i - 1] = e[i];
+    }
+    e[n - 1] = 0.0;
+    let mut f = 0.0;
+    let mut tst1 = 0.0f64;
+    let eps = f64::EPSILON;
+    for l in 0..n {
+        // Find a negligible subdiagonal element.
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let mut m = l;
+        while m < n - 1 && e[m].abs() > eps * tst1 {
+            m += 1;
+        }
+        if m > l {
+            let mut iter = 0;
+            loop {
+                iter += 1;
+                if iter > MAX_QL_ITERS {
+                    return Err(LinalgError::NoConvergence {
+                        iterations: iter - 1,
+                    });
+                }
+                // Implicit shift.
+                let mut g = d[l];
+                let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+                let mut r = p.hypot(1.0);
+                if p < 0.0 {
+                    r = -r;
+                }
+                d[l] = e[l] / (p + r);
+                d[l + 1] = e[l] * (p + r);
+                let dl1 = d[l + 1];
+                let mut h = g - d[l];
+                for x in &mut d[l + 2..] {
+                    *x -= h;
+                }
+                f += h;
+                // The QL sweep, one plane rotation per step.
+                p = d[m];
+                let mut c = 1.0;
+                let mut c2 = c;
+                let mut c3 = c;
+                let el1 = e[l + 1];
+                let mut s = 0.0;
+                let mut s2 = 0.0;
+                for i in (l..m).rev() {
+                    c3 = c2;
+                    c2 = c;
+                    s2 = s;
+                    g = c * e[i];
+                    h = c * p;
+                    r = p.hypot(e[i]);
+                    e[i + 1] = s * r;
+                    s = e[i] / r;
+                    c = p / r;
+                    p = c * d[i] - s * g;
+                    d[i + 1] = h + s * (c * g + s * d[i]);
+                    let (lo, hi) = w.split_at_mut((i + 1) * n);
+                    let vi = &mut lo[i * n..];
+                    let vi1 = &mut hi[..n];
+                    for (a, b) in vi.iter_mut().zip(vi1.iter_mut()) {
+                        let t = *b;
+                        *b = s * *a + c * t;
+                        *a = c * *a - s * t;
+                    }
+                }
+                p = -s * s2 * c3 * el1 * e[l] / dl1;
+                e[l] = s * p;
+                d[l] = c * p;
+                if e[l].abs() <= eps * tst1 {
+                    break;
+                }
+            }
+        }
+        d[l] += f;
+        e[l] = 0.0;
+    }
+    Ok(())
 }
 
 /// Computes the eigendecomposition of a complex Hermitian matrix by cyclic
@@ -251,6 +393,9 @@ fn sorted_herm(m: CMatrix, v: CMatrix) -> HermitianEig {
 mod tests {
     use super::*;
     use crate::cvector::CVector;
+    use crate::random::standard_normal;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn sym_eig_known_values() {
@@ -289,6 +434,106 @@ mod tests {
         let eig = symmetric_eig(&a).unwrap();
         assert!((eig.values[0] + 1.0).abs() < 1e-12);
         assert!((eig.values[2] - 3.0).abs() < 1e-12);
+    }
+
+    /// `n×n` orthogonal matrix: a product of three Householder
+    /// reflections with seeded directions.
+    fn random_orthogonal(n: usize, rng: &mut StdRng) -> RMatrix {
+        let mut q = RMatrix::identity(n);
+        for _ in 0..3 {
+            let v = RVector::from_fn(n, |_| rng.gen::<f64>() - 0.5);
+            let mut h = RMatrix::identity(n);
+            h.axpy(-2.0 / v.norm_sqr(), &RMatrix::outer(&v, &v));
+            q = q.mul_mat(&h).unwrap();
+        }
+        q
+    }
+
+    /// `Q·diag(λ)·Qᵀ`.
+    fn with_spectrum(values: &[f64], rng: &mut StdRng) -> RMatrix {
+        let q = random_orthogonal(values.len(), rng);
+        let d = RMatrix::from_diagonal(&RVector::from_slice(values));
+        q.mul_mat(&d).unwrap().mul_mat(&q.transpose()).unwrap()
+    }
+
+    /// The matrix families CMA-ES and the tests lean on, at size `n`.
+    fn eig_cases(n: usize, rng: &mut StdRng) -> Vec<(&'static str, RMatrix)> {
+        let mut cases = vec![
+            ("identity", RMatrix::identity(n)),
+            ("zero", RMatrix::zeros(n, n)),
+        ];
+        // Diagonal, deliberately unsorted and with a negative entry.
+        let diag: Vec<f64> = (0..n).map(|i| ((i * 7919) % 13) as f64 - 3.5).collect();
+        cases.push((
+            "diagonal",
+            RMatrix::from_diagonal(&RVector::from_slice(&diag)),
+        ));
+        // Three clusters: an exactly repeated value, a 1e-12-wide cluster
+        // and a singleton.
+        let clustered: Vec<f64> = (0..n)
+            .map(|i| match i % 3 {
+                0 => 1.0,
+                1 => 2.0 + 1e-12 * i as f64,
+                _ if i == n - 1 => 50.0,
+                _ => 1.0,
+            })
+            .collect();
+        cases.push(("clustered", with_spectrum(&clustered, rng)));
+        // Near-identity CMA covariance: C = (1 − c)·I + c·Σ wᵢ·yᵢyᵢᵀ after
+        // a few rank-μ updates from unit-scale samples.
+        let mut cov = RMatrix::identity(n);
+        for _ in 0..3 {
+            let mut update = RMatrix::zeros(n, n);
+            for k in 0..4 {
+                let y = RVector::from_fn(n, |_| standard_normal(rng));
+                update.axpy(0.25 / (k + 1) as f64, &RMatrix::outer(&y, &y));
+            }
+            cov = cov.scale(0.98);
+            cov.axpy(0.02, &update);
+        }
+        cases.push(("cma-covariance", cov));
+        // A generic dense symmetric matrix.
+        let b = RMatrix::from_fn(n, n, |_, _| rng.gen::<f64>() - 0.5);
+        let mut generic = &b + &b.transpose();
+        generic.symmetrize();
+        cases.push(("generic", generic));
+        cases
+    }
+
+    #[test]
+    fn sym_eig_residuals_across_sizes_and_spectra() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for n in [1, 2, 37, 300] {
+            for (name, a) in eig_cases(n, &mut rng) {
+                let eig = symmetric_eig(&a).unwrap();
+                let v = &eig.vectors;
+                let bound = 1e-10 * a.frobenius_norm().max(1.0);
+                assert!(
+                    eig.values.as_slice().windows(2).all(|w| w[0] <= w[1]),
+                    "{name} n={n}: eigenvalues not ascending"
+                );
+                let av = a.mul_mat(v).unwrap();
+                let vl = v.mul_mat(&RMatrix::from_diagonal(&eig.values)).unwrap();
+                let residual = (&av - &vl).frobenius_norm();
+                assert!(residual <= bound, "{name} n={n}: ‖AV − VΛ‖ = {residual:e}");
+                let vtv = v.transpose().mul_mat(v).unwrap();
+                let ortho = (&vtv - &RMatrix::identity(n)).frobenius_norm();
+                assert!(ortho <= bound, "{name} n={n}: ‖VᵀV − I‖ = {ortho:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn sym_eig_exact_on_trivial_spectra() {
+        for n in [1, 2, 37] {
+            let id = symmetric_eig(&RMatrix::identity(n)).unwrap();
+            assert!(id.values.iter().all(|&x| x == 1.0));
+            let zero = symmetric_eig(&RMatrix::zeros(n, n)).unwrap();
+            assert!(zero.values.iter().all(|&x| x == 0.0));
+            assert_eq!(zero.vectors, RMatrix::identity(n));
+        }
+        let empty = symmetric_eig(&RMatrix::zeros(0, 0)).unwrap();
+        assert_eq!(empty.values.len(), 0);
     }
 
     #[test]

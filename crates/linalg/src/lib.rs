@@ -13,7 +13,8 @@
 //! - [`RCholesky`] / [`CCholesky`]: Cholesky factorization of positive
 //!   definite matrices (also the engine for `N(0, Σ)` sampling);
 //! - [`CQr`]: Householder QR;
-//! - [`symmetric_eig`] / [`hermitian_eig`]: Jacobi eigensolvers;
+//! - [`symmetric_eig`] / [`hermitian_eig`]: Householder–QL (real
+//!   symmetric) and Jacobi (complex Hermitian) eigensolvers;
 //! - [`CPanel`] / [`gemm_into`] / [`mzi_rotate`]: packed `N×B` multi-RHS
 //!   panels and the blocked complex GEMM / fused-rotation kernels behind
 //!   the compiled batched forward paths;

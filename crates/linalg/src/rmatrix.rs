@@ -7,6 +7,9 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 use crate::error::{LinalgError, Result};
 use crate::rvector::RVector;
 
+/// Rows of the Gram triangle [`RMatrix::gram`] fills per pass over `A`.
+const GRAM_BAND: usize = 64;
+
 /// A dense, row-major real (`f64`) matrix.
 ///
 /// Fisher information blocks, LCNG Gram matrices and CMA-ES covariances are
@@ -312,20 +315,82 @@ impl RMatrix {
     }
 
     /// Symmetric Gram matrix `AᵀA` (size `cols × cols`).
+    ///
+    /// Accumulates one row of `A` at a time into the upper triangle, so every
+    /// read is contiguous; each entry still sums its products in row order,
+    /// so the result is bitwise that of the column-dot definition. The
+    /// triangle is filled in bands of [`GRAM_BAND`] rows to keep the band
+    /// cache-resident while `A` streams past it.
     pub fn gram(&self) -> RMatrix {
         let n = self.cols;
         let mut g = RMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                let mut acc = 0.0;
-                for r in 0..self.rows {
-                    acc += self[(r, i)] * self[(r, j)];
+        for band in (0..n).step_by(GRAM_BAND) {
+            let band_end = (band + GRAM_BAND).min(n);
+            for r in 0..self.rows {
+                let row = self.row(r);
+                for i in band..band_end {
+                    let a = row[i];
+                    let g_row = &mut g.data[i * n + i..(i + 1) * n];
+                    for (gij, &b) in g_row.iter_mut().zip(&row[i..]) {
+                        *gij += a * b;
+                    }
                 }
-                g[(i, j)] = acc;
-                g[(j, i)] = acc;
             }
         }
+        g.mirror_upper();
         g
+    }
+
+    /// Symmetric row Gram matrix `A·Aᵀ` (size `rows × rows`): entry `(i, j)`
+    /// is the dot product of rows `i` and `j`, summed in column order.
+    ///
+    /// Bitwise equal to `self.transpose().gram()` without the transposed
+    /// copy. Four dot products run side by side, each on its own
+    /// accumulator, so the adds overlap without reordering any sum.
+    pub fn row_gram(&self) -> RMatrix {
+        let m = self.rows;
+        let mut g = RMatrix::zeros(m, m);
+        for i in 0..m {
+            let ri = self.row(i);
+            let mut j = i;
+            while j + 4 <= m {
+                let cols = ri.len();
+                let (r0, r1, r2, r3) = (
+                    &self.row(j)[..cols],
+                    &self.row(j + 1)[..cols],
+                    &self.row(j + 2)[..cols],
+                    &self.row(j + 3)[..cols],
+                );
+                let mut acc = [0.0f64; 4];
+                for c in 0..cols {
+                    let a = ri[c];
+                    acc[0] += a * r0[c];
+                    acc[1] += a * r1[c];
+                    acc[2] += a * r2[c];
+                    acc[3] += a * r3[c];
+                }
+                g.data[i * m + j..i * m + j + 4].copy_from_slice(&acc);
+                j += 4;
+            }
+            for j in j..m {
+                g.data[i * m + j] = ri
+                    .iter()
+                    .zip(self.row(j))
+                    .fold(0.0, |acc, (a, b)| acc + a * b);
+            }
+        }
+        g.mirror_upper();
+        g
+    }
+
+    /// Copies the upper triangle onto the lower one (square only).
+    fn mirror_upper(&mut self) {
+        let n = self.rows;
+        for i in 0..n {
+            for j in i + 1..n {
+                self.data[j * n + i] = self.data[i * n + j];
+            }
+        }
     }
 
     /// Outer product `x·yᵀ`.
@@ -482,6 +547,57 @@ mod tests {
         let g2 = a.transpose().mul_mat(&a).unwrap();
         assert!((&g - &g2).max_abs() < 1e-12);
         assert!(g[(0, 0)] >= 0.0 && g[(1, 1)] >= 0.0);
+    }
+
+    /// The column-dot Gram loop `gram` replaced, kept as its bitwise
+    /// reference.
+    fn gram_reference(a: &RMatrix) -> RMatrix {
+        let n = a.cols();
+        let mut g = RMatrix::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let mut acc = 0.0;
+                for r in 0..a.rows() {
+                    acc += a[(r, i)] * a[(r, j)];
+                }
+                g[(i, j)] = acc;
+                g[(j, i)] = acc;
+            }
+        }
+        g
+    }
+
+    fn wavy(rows: usize, cols: usize) -> RMatrix {
+        RMatrix::from_fn(rows, cols, |r, c| {
+            ((r * 31 + c * 17) as f64 * 0.37).sin() * 1e3f64.powf(((r + c) % 5) as f64 / 4.0 - 0.5)
+        })
+    }
+
+    #[test]
+    fn gram_and_row_gram_match_reference_bitwise() {
+        // Shapes straddle the band width and the four-wide row blocking.
+        for &(rows, cols) in &[(1, 1), (3, 2), (7, 70), (70, 7), (133, 131)] {
+            let a = wavy(rows, cols);
+            let want = gram_reference(&a);
+            let got = a.gram();
+            assert!(
+                got.as_slice()
+                    .iter()
+                    .zip(want.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "gram differs at {rows}x{cols}"
+            );
+            let want_rows = gram_reference(&a.transpose());
+            let got_rows = a.row_gram();
+            assert!(
+                got_rows
+                    .as_slice()
+                    .iter()
+                    .zip(want_rows.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "row_gram differs at {rows}x{cols}"
+            );
+        }
     }
 
     #[test]

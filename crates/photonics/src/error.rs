@@ -291,6 +291,79 @@ pub struct ErrorRmse {
     pub phase: f64,
 }
 
+/// Row-major destination of a reverse-mode error Jacobian
+/// ([`crate::Network::error_vjp`]): one row per output cotangent, columns in
+/// the [`ErrorVector::to_flat`] layout `[γ…, attenuation…, phase…]`.
+///
+/// Modules address their own slots by module-local netlist index (the
+/// order [`ErrorCursor`] hands them out); the network sets each module's
+/// base offset before calling it. Entries are accumulated, so start from
+/// zeros.
+#[derive(Debug)]
+pub struct ErrorRows<'a> {
+    data: &'a mut [f64],
+    n_bs: usize,
+    n_ps: usize,
+    bs_base: usize,
+    ps_base: usize,
+}
+
+impl<'a> ErrorRows<'a> {
+    /// Wraps `data` as rows of width `n_bs + 2·n_ps`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `data.len()` is not a multiple of the row width.
+    pub fn new(data: &'a mut [f64], n_bs: usize, n_ps: usize) -> Self {
+        let width = n_bs + 2 * n_ps;
+        assert!(
+            width > 0 && data.len().is_multiple_of(width),
+            "error rows: {} entries do not fill rows of width {width}",
+            data.len()
+        );
+        ErrorRows {
+            data,
+            n_bs,
+            n_ps,
+            bs_base: 0,
+            ps_base: 0,
+        }
+    }
+
+    /// `(beam splitters, phase shifters)` the columns cover.
+    pub fn slots(&self) -> (usize, usize) {
+        (self.n_bs, self.n_ps)
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.data.len() / (self.n_bs + 2 * self.n_ps)
+    }
+
+    /// Points module-local slot 0 at the given global slots.
+    pub(crate) fn set_base(&mut self, bs: usize, ps: usize) {
+        self.bs_base = bs;
+        self.ps_base = ps;
+    }
+
+    /// Adds `∂ℓ_row/∂γ` of the module's beam splitter `slot`.
+    #[inline]
+    pub fn add_gamma(&mut self, row: usize, slot: usize, value: f64) {
+        let width = self.n_bs + 2 * self.n_ps;
+        self.data[row * width + self.bs_base + slot] += value;
+    }
+
+    /// Adds `[∂ℓ_row/∂attenuation, ∂ℓ_row/∂phase]` of the module's phase
+    /// shifter `slot`.
+    #[inline]
+    pub fn add_zeta(&mut self, row: usize, slot: usize, value: [f64; 2]) {
+        let width = self.n_bs + 2 * self.n_ps;
+        let col = row * width + self.n_bs + self.ps_base + slot;
+        self.data[col] += value[0];
+        self.data[col + self.n_ps] += value[1];
+    }
+}
+
 /// Sequential reader over an [`ErrorVector`], consumed by circuit builders
 /// while instantiating components in netlist order.
 #[derive(Debug)]

@@ -72,7 +72,7 @@ pub use compiled::{
 };
 pub use electrooptic::ElectroOptic;
 pub use error::{
-    zeta_from_parts, ErrorCursor, ErrorModel, ErrorRmse, ErrorVector, ErrorVectorError,
+    zeta_from_parts, ErrorCursor, ErrorModel, ErrorRmse, ErrorRows, ErrorVector, ErrorVectorError,
 };
 pub use fisher::{
     anisotropy_ratio, covariance_eigenvalues, fisher_vector_product, fisher_vector_products,

@@ -4,7 +4,7 @@
 
 use photon_linalg::{CMatrix, CVector, C64};
 
-use crate::error::{ErrorCursor, ErrorVector, ErrorVectorError};
+use crate::error::{ErrorCursor, ErrorRows, ErrorVector, ErrorVectorError};
 use crate::module::{ModuleTape, OnnModule, PsSnapshot};
 use crate::ops::Op;
 
@@ -330,6 +330,36 @@ impl OnnModule for MeshModule {
             op.vjp(&tape.states[i], &mut gstate, theta, grad_theta);
         }
         gstate
+    }
+
+    fn error_vjp(
+        &self,
+        tape: &ModuleTape,
+        theta: &[f64],
+        gys: &mut [CVector],
+        rows: &mut ErrorRows<'_>,
+    ) {
+        debug_assert_eq!(tape.states.len(), self.ops.len() + 1);
+        debug_assert!(gys.len() <= rows.rows(), "more cotangents than rows");
+        // Walk the netlist backwards, counting slots down from the end.
+        let (mut bs, mut ps) = self.error_slots();
+        for (i, op) in self.ops.iter().enumerate().rev() {
+            let pre = &tape.states[i];
+            match op {
+                Op::Bs { .. } => {
+                    bs -= 1;
+                    for (k, g) in gys.iter_mut().enumerate() {
+                        rows.add_gamma(k, bs, op.error_vjp(pre, g, theta)[0]);
+                    }
+                }
+                Op::Ps { .. } => {
+                    ps -= 1;
+                    for (k, g) in gys.iter_mut().enumerate() {
+                        rows.add_zeta(k, ps, op.error_vjp(pre, g, theta));
+                    }
+                }
+            }
+        }
     }
 
     fn with_errors(

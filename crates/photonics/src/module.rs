@@ -4,7 +4,7 @@ use std::fmt;
 
 use photon_linalg::{CMatrix, CVector, C64};
 
-use crate::error::{ErrorCursor, ErrorVector, ErrorVectorError};
+use crate::error::{ErrorCursor, ErrorRows, ErrorVector, ErrorVectorError};
 
 /// Compile-time snapshot of one phase shifter inside a fused linear stage,
 /// recorded by [`OnnModule::compile_apply_probed`] and completed by
@@ -282,6 +282,31 @@ pub trait OnnModule: fmt::Debug + Send + Sync {
         gy: &CVector,
         grad_theta: &mut [f64],
     ) -> CVector;
+
+    /// Reverse-mode derivative with respect to this module's fabrication
+    /// errors, for several output cotangents at once: turns each `gys[k]`
+    /// into its input cotangent and adds `∂ℓ_k/∂e` for the module's error
+    /// slots into row `k` of `rows` (module-local slot indices).
+    ///
+    /// The default serves modules without error slots: it only carries the
+    /// state cotangents back through [`OnnModule::vjp`].
+    fn error_vjp(
+        &self,
+        tape: &ModuleTape,
+        theta: &[f64],
+        gys: &mut [CVector],
+        _rows: &mut ErrorRows<'_>,
+    ) {
+        debug_assert_eq!(
+            self.error_slots(),
+            (0, 0),
+            "modules with error slots must override error_vjp"
+        );
+        let mut sink = vec![0.0; self.param_count()];
+        for g in gys {
+            *g = self.vjp(tape, theta, g, &mut sink);
+        }
+    }
 
     /// Rebuilds this module with fabrication errors taken from `cursor`
     /// (consumed in netlist order).

@@ -8,7 +8,7 @@ use rand::Rng;
 use photon_linalg::{CVector, RVector};
 
 use crate::electrooptic::ElectroOptic;
-use crate::error::{ErrorCursor, ErrorVector};
+use crate::error::{ErrorCursor, ErrorRows, ErrorVector};
 use crate::mesh::MeshModule;
 use crate::modrelu::ModRelu;
 use crate::module::{ModuleTape, OnnModule};
@@ -576,6 +576,53 @@ impl Network {
             );
         }
         (gstate, grad)
+    }
+
+    /// Reverse-mode derivative with respect to the fabrication errors, for
+    /// several output cotangents in one backward sweep: row `k` of `rows`
+    /// receives `∂ℓ_k/∂e` with `ℓ_k = ⟨y, gys[k]⟩_R`, in the
+    /// [`ErrorVector::to_flat`] layout. On return `gys` holds the input
+    /// cotangents. Rows are accumulated into, so pass zeros.
+    ///
+    /// For `ℓ = |y_d|²` the cotangent is `2·y_d` on port `d`, so `K` such
+    /// cotangents give the `K` Jacobian rows of one probe's detector powers.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rows` does not cover this network's error slots with at
+    /// least `gys.len()` rows, or a cotangent has the wrong length.
+    pub fn error_vjp(
+        &self,
+        tape: &NetworkTape,
+        theta: &RVector,
+        gys: &mut [CVector],
+        rows: &mut ErrorRows<'_>,
+    ) {
+        let (mut bs, mut ps) = self
+            .modules
+            .iter()
+            .map(|m| m.error_slots())
+            .fold((0, 0), |(bs, ps), (b, p)| (bs + b, ps + p));
+        assert_eq!(
+            rows.slots(),
+            (bs, ps),
+            "error rows do not match the network's slots"
+        );
+        assert!(gys.len() <= rows.rows(), "more cotangents than error rows");
+        assert!(
+            gys.iter().all(|g| g.len() == self.output_dim()),
+            "cotangent dimension mismatch"
+        );
+        // Walking backwards, a module's first slot is the running total
+        // minus its own slots.
+        for (i, m) in self.modules.iter().enumerate().rev() {
+            let (b, p) = m.error_slots();
+            bs -= b;
+            ps -= p;
+            rows.set_base(bs, ps);
+            let range = self.module_param_range(i);
+            m.error_vjp(&tape.tapes[i], &theta.as_slice()[range], gys, rows);
+        }
     }
 
     /// The current error assignment baked into this network's modules.

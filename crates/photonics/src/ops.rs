@@ -171,6 +171,54 @@ impl Op {
         }
     }
 
+    /// Reverse-mode derivative with respect to the op's fabrication error:
+    /// transforms the cotangent `gstate` in place exactly like [`Op::vjp`]
+    /// and returns the error cotangent — `[∂ℓ/∂γ, 0]` for a beam splitter,
+    /// `[∂ℓ/∂attenuation, ∂ℓ/∂phase]` for a phase shifter, with
+    /// `ζ = (1 − attenuation)·e^{j·phase}` as in [`crate::zeta_from_parts`].
+    ///
+    /// `pre` must be the state before this op (from the forward tape).
+    #[inline]
+    pub fn error_vjp(&self, pre: &CVector, gstate: &mut CVector, theta: &[f64]) -> [f64; 2] {
+        // ⟨u, v⟩_R = Re(conj(u)·v), the real inner product of the cotangent
+        // convention.
+        let re_dot = |u: C64, v: C64| u.re * v.re + u.im * v.im;
+        match *self {
+            Op::Ps { port, param, zeta } => {
+                let rot = C64::cis(theta[param]);
+                let f = zeta * rot;
+                let g = gstate[port];
+                let y = f * pre[port];
+                // ∂y/∂phase = j·y; ∂y/∂attenuation = −(ζ/|ζ|)·e^{jθ}·x, the
+                // unit-modulus direction of ζ (taken as 1 where ζ = 0).
+                let r = zeta.abs();
+                let unit = if r > 0.0 {
+                    zeta.scale(1.0 / r)
+                } else {
+                    C64::ONE
+                };
+                let dy_att = -(unit * rot * pre[port]);
+                gstate[port] = f.conj() * g;
+                [re_dot(dy_att, g), (y.conj() * g).im]
+            }
+            Op::Bs { port, gamma } => {
+                let phi = (FRAC_PI_2 + gamma) / 2.0;
+                let c = phi.cos();
+                let s = phi.sin();
+                let a = pre[port];
+                let b = pre[port + 1];
+                let ga = gstate[port];
+                let gb = gstate[port + 1];
+                // ∂/∂γ = ½·∂/∂φ of [[c, j·s], [j·s, c]] = ½·[[−s, j·c], [j·c, −s]].
+                let dy_top = (a.scale(-s) + C64::new(-c * b.im, c * b.re)).scale(0.5);
+                let dy_bot = (C64::new(-c * a.im, c * a.re) + b.scale(-s)).scale(0.5);
+                gstate[port] = ga.scale(c) + C64::new(s * gb.im, -s * gb.re);
+                gstate[port + 1] = C64::new(s * ga.im, -s * ga.re) + gb.scale(c);
+                [re_dot(dy_top, ga) + re_dot(dy_bot, gb), 0.0]
+            }
+        }
+    }
+
     /// Module-local parameter index if this op is parameterized.
     pub fn param_index(&self) -> Option<usize> {
         match *self {
@@ -308,6 +356,57 @@ mod tests {
                 .sum::<f64>()
                 + dtheta[0] * gtheta[0];
             assert!((lhs - rhs).abs() < 1e-12, "op {op:?}: {lhs} vs {rhs}");
+        }
+    }
+
+    /// The error VJP must carry the state cotangent exactly like `vjp` and
+    /// return central-difference error derivatives of `⟨y, g⟩_R`.
+    #[test]
+    fn error_vjp_matches_finite_difference() {
+        let x = state2(C64::new(0.2, -0.7), C64::new(-0.5, 0.1));
+        let g = state2(C64::new(-0.8, 0.1), C64::new(0.5, 0.5));
+        let theta = [0.4];
+        let objective = |op: Op| {
+            let mut y = x.clone();
+            op.apply(&mut y, &theta);
+            y.iter()
+                .zip(g.iter())
+                .map(|(a, b)| a.re * b.re + a.im * b.im)
+                .sum::<f64>()
+        };
+        let h = 1e-6;
+        let (att, ph, gamma) = (0.03, 0.2, 0.15);
+        let ps = |att: f64, ph: f64| Op::Ps {
+            port: 1,
+            param: 0,
+            zeta: crate::zeta_from_parts(att, ph),
+        };
+        let bs = |gamma: f64| Op::Bs { port: 0, gamma };
+
+        for (op, fd) in [
+            (
+                ps(att, ph),
+                [
+                    (objective(ps(att + h, ph)) - objective(ps(att - h, ph))) / (2.0 * h),
+                    (objective(ps(att, ph + h)) - objective(ps(att, ph - h))) / (2.0 * h),
+                ],
+            ),
+            (
+                bs(gamma),
+                [
+                    (objective(bs(gamma + h)) - objective(bs(gamma - h))) / (2.0 * h),
+                    0.0,
+                ],
+            ),
+        ] {
+            let mut g_err = g.clone();
+            let partials = op.error_vjp(&x, &mut g_err, &theta);
+            let mut g_ref = g.clone();
+            op.vjp(&x, &mut g_ref, &theta, &mut [0.0]);
+            assert_eq!(g_err, g_ref, "{op:?}: state cotangent differs from vjp");
+            for (a, b) in partials.iter().zip(fd) {
+                assert!((a - b).abs() < 1e-8, "{op:?}: {partials:?} vs {fd:?}");
+            }
         }
     }
 

@@ -9,6 +9,12 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --all-targets --workspace -- -D warnings
 
+# Benchmark gate: the perfbench package (its own workspace, so not covered
+# above) runs its tests: the timing decorator leaves results bitwise
+# identical, the host-speed correction behaves, and BENCHMARK.json matches
+# the metrics the harness prints.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Robustness gate: the fault-injection suite plus a smoke run of the
 # self-healing training demo.
 cargo test -q --offline --test fault_injection
