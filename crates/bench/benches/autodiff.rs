@@ -1,12 +1,13 @@
-//! Criterion kernels: JVP/VJP and Fisher-product costs — the model-side
-//! overhead LCNG pays per iteration.
+//! Criterion kernels: JVP/VJP, Fisher-product and Fisher-Gram costs — the
+//! model-side overhead LCNG pays per iteration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use photon_exec::ExecPool;
 use photon_linalg::random::{normal_cvector, normal_rvector};
-use photon_photonics::{fisher_vector_product, Architecture};
+use photon_photonics::{fisher_gram, fisher_vector_product, Architecture};
 
 fn bench_jvp_vjp(c: &mut Criterion) {
     let mut group = c.benchmark_group("autodiff");
@@ -50,6 +51,22 @@ fn bench_fisher_product(c: &mut Criterion) {
             b.iter(|| fisher_vector_product(&net, &theta, &inputs, std::hint::black_box(&v)))
         });
     }
+    // The LCNG metric at the fine-tune benchmark's shape: two-mesh K=24
+    // (N=1176), Q=24 probe directions, r_in=8 Fisher inputs, one thread.
+    let (k, q, r_in) = (24usize, 24usize, 8usize);
+    let mut rng = StdRng::seed_from_u64(5);
+    let net = Architecture::two_mesh_classifier(k, k)
+        .unwrap()
+        .build_ideal();
+    let theta = net.init_params(&mut rng);
+    let inputs: Vec<_> = (0..r_in).map(|_| normal_cvector(k, &mut rng)).collect();
+    let dirs: Vec<_> = (0..q)
+        .map(|_| normal_rvector(net.param_count(), &mut rng))
+        .collect();
+    let pool = ExecPool::serial();
+    group.bench_with_input(BenchmarkId::new("gram_q24_8_inputs", k), &k, |b, _| {
+        b.iter(|| fisher_gram(&net, &theta, &inputs, std::hint::black_box(&dirs), &pool))
+    });
     group.finish();
 }
 

@@ -21,20 +21,22 @@
 //! ```
 //!
 //! the natural-gradient step restricted to the probed subspace. The Gram
-//! matrix `PᵀFP` is assembled matrix-free from `Q` Fisher-vector products —
-//! never materializing the `N×N` Fisher.
+//! matrix `PᵀFP = mean_x Re((J_x P)ᴴ(J_x P))` needs only the `Q` output
+//! tangents `J_x δθ_q` per Fisher input, never the `N×N` Fisher.
 //!
 //! Cost split: the `Q` probe losses ride the compiled batched chip path
 //! (`chip_batch_loss_pooled`: one cached-unitary GEMM per batch block),
-//! while the Fisher-vector products stay on the interpreted tape machinery —
-//! they need per-op forward tangents, which a fused dense matrix no longer
-//! exposes.
+//! while the Gram ([`photon_photonics::fisher_gram`]) walks the model's op
+//! list once per Fisher input, carrying the primal state and all `Q`
+//! tangents side by side — per-op forward tangents, which a fused dense
+//! matrix no longer exposes, but no tape, no reverse pass and no `N`-length
+//! product.
 
 use photon_exec::ExecPool;
 use rand::Rng;
 
 use photon_linalg::{LinalgError, RCholesky, RMatrix, RVector};
-use photon_photonics::{fisher_vector_products, fisher_vector_products_pooled, Network};
+use photon_photonics::{fisher_gram, Network};
 
 use photon_linalg::CVector;
 
@@ -154,25 +156,17 @@ pub fn lcng_direction<R: Rng + ?Sized>(
         })
         .collect();
 
-    // Metric products F·δθ_q on the software model (or identity).
-    let metric_dirs: Vec<RVector> = match metric {
-        MetricSource::Identity => directions.clone(),
-        MetricSource::Model { model, inputs } => {
-            fisher_vector_products(model, theta, inputs, &directions)
-        }
-    };
-
-    solve_in_span(theta, settings, directions, quotients, metric_dirs)
+    let gram = metric_gram(metric, theta, &directions, &ExecPool::serial());
+    solve_in_span(theta, settings, directions, quotients, gram)
 }
 
 /// Pool-parallel variant of [`lcng_direction`]: the `Q` chip probes and the
-/// Fisher-metric products are both evaluated on `pool`.
+/// Fisher Gram are both evaluated on `pool`.
 ///
 /// All probe directions are drawn from `rng` before any loss evaluation and
 /// every reduction runs in a fixed order, so for a deterministic `loss` the
-/// returned step is bitwise identical for every pool size. (The metric path
-/// uses [`fisher_vector_products_pooled`], whose fixed-shape input reduction
-/// differs from the serial variant's running sum by fp rounding only.)
+/// returned step is bitwise identical for every pool size — and to
+/// [`lcng_direction`]'s, which runs the same metric path on a serial pool.
 ///
 /// # Errors
 ///
@@ -204,24 +198,43 @@ pub fn lcng_direction_pooled<R: Rng + ?Sized>(
         },
     );
 
-    let metric_dirs: Vec<RVector> = match metric {
-        MetricSource::Identity => directions.clone(),
-        MetricSource::Model { model, inputs } => {
-            fisher_vector_products_pooled(model, theta, inputs, &directions, pool)
-        }
-    };
-
-    solve_in_span(theta, settings, directions, quotients, metric_dirs)
+    let gram = metric_gram(metric, theta, &directions, pool);
+    solve_in_span(theta, settings, directions, quotients, gram)
 }
 
-/// Assembles the Gram matrix and solves for the in-span step (shared tail of
-/// the serial and pooled entry points).
+/// The `Q×Q` Gram `PᵀMP` of the probe directions under `metric` (shared by
+/// every LCNG entry point). The identity Gram is the plain dot-product
+/// matrix; a model Gram comes from [`fisher_gram`] on `pool`. Both are
+/// exactly symmetric.
+pub(crate) fn metric_gram(
+    metric: &MetricSource<'_>,
+    theta: &RVector,
+    directions: &[RVector],
+    pool: &ExecPool,
+) -> RMatrix {
+    match metric {
+        MetricSource::Identity => {
+            let q = directions.len();
+            RMatrix::from_fn(q, q, |a, b| {
+                directions[a]
+                    .dot(&directions[b])
+                    .expect("directions share the parameter dimension")
+            })
+        }
+        MetricSource::Model { model, inputs } => {
+            fisher_gram(model, theta, inputs, directions, pool)
+        }
+    }
+}
+
+/// Regularizes the metric Gram and solves for the in-span step (shared tail
+/// of every LCNG entry point).
 pub(crate) fn solve_in_span(
     theta: &RVector,
     settings: &LcngSettings,
     directions: Vec<RVector>,
     quotients: Vec<f64>,
-    metric_dirs: Vec<RVector>,
+    mut gram: RMatrix,
 ) -> Result<LcngStep, LinalgError> {
     let n = theta.len();
     let q = settings.zo.q;
@@ -235,17 +248,6 @@ pub(crate) fn solve_in_span(
             context: format!("difference quotient {k} of the LCNG solve"),
         });
     }
-
-    // Gram G = Pᵀ(FP), symmetrized against fp noise.
-    let mut gram = RMatrix::zeros(q, q);
-    for a in 0..q {
-        for b in 0..q {
-            gram[(a, b)] = directions[a]
-                .dot(&metric_dirs[b])
-                .expect("directions share the parameter dimension");
-        }
-    }
-    gram.symmetrize();
 
     let gram_scale = gram.trace().expect("gram is square") / q as f64;
     if !gram_scale.is_finite() {
@@ -413,10 +415,12 @@ mod tests {
         let loss = |t: &RVector| quad_loss(&a, &b, t);
         let settings = LcngSettings::for_dimension(theta.len(), 8);
 
+        // The serial entry point is the reference: it runs the same metric
+        // path, so the pooled one matches it bitwise at every pool size.
         let reference = {
             let mut rng = StdRng::seed_from_u64(18);
-            lcng_direction_pooled(
-                &loss,
+            lcng_direction(
+                &mut |t: &RVector| loss(t),
                 &theta,
                 loss(&theta),
                 &settings,
@@ -425,12 +429,11 @@ mod tests {
                     model: &model,
                     inputs: &inputs,
                 },
-                &ExecPool::serial(),
                 &mut rng,
             )
             .unwrap()
         };
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
             let mut rng = StdRng::seed_from_u64(18);
             let step = lcng_direction_pooled(
                 &loss,

@@ -28,9 +28,8 @@ use photon_exec::ExecPool;
 use rand::Rng;
 
 use photon_linalg::{LinalgError, RVector};
-use photon_photonics::fisher_vector_products_pooled;
 
-use crate::lcng::{solve_in_span, LcngSettings, LcngStep, MetricSource};
+use crate::lcng::{metric_gram, solve_in_span, LcngSettings, LcngStep, MetricSource};
 use crate::zo::{assemble_estimate, draw_perturbations, Perturbation, ZoEstimate, ZoSettings};
 
 /// Settings of the robust measurement ladder.
@@ -257,13 +256,8 @@ pub fn lcng_direction_robust_pooled<R: Rng + ?Sized>(
         robust,
         pool,
     );
-    let metric_dirs: Vec<RVector> = match metric {
-        MetricSource::Identity => directions.clone(),
-        MetricSource::Model { model, inputs } => {
-            fisher_vector_products_pooled(model, theta, inputs, &directions, pool)
-        }
-    };
-    let step = solve_in_span(theta, settings, directions, quotients, metric_dirs)?;
+    let gram = metric_gram(metric, theta, &directions, pool);
+    let step = solve_in_span(theta, settings, directions, quotients, gram)?;
     Ok((step, stats))
 }
 

@@ -1,12 +1,13 @@
 //! Fisher-information machinery.
 //!
-//! The LCNG optimizer needs Fisher-metric products `F·v` where
-//! `F = E_x[Jᵀ_r J_r]` is the (real-linearized) Gauss-Newton/Fisher metric
-//! of the network output with respect to all parameters, averaged over a set
-//! of input vectors. Because the module `vjp`s are exact real-adjoints of
-//! the `jvp`s, the product is computed matrix-free as `vjp(jvp(v))` — one
-//! forward-tangent and one reverse pass per input, never materializing the
-//! `N × N` matrix.
+//! The LCNG optimizer needs the Fisher metric `F = E_x[Re(J_xᴴ J_x)]` — the
+//! (real-linearized) Gauss-Newton/Fisher matrix of the network output with
+//! respect to all parameters, averaged over a set of input vectors — only
+//! through its `Q×Q` Gram on the probe directions. [`fisher_gram`] builds it
+//! from forward tangents alone (one tape-free dual sweep per input), never
+//! materializing the `N × N` matrix. [`fisher_vector_product`] computes a
+//! single `F·v` as `vjp(jvp(v))` (the module `vjp`s are exact real-adjoints
+//! of the `jvp`s); it is the reference the Gram is tested against.
 //!
 //! For diagnostics (the Fisher-spectrum figure) the module-level dense
 //! blocks and output covariances are also provided.
@@ -62,82 +63,81 @@ pub fn fisher_vector_product(
     acc.scale(1.0 / inputs.len() as f64)
 }
 
-/// Fisher-metric products for a batch of directions, reusing the forward
-/// tapes across directions (the LCNG Gram assembly path).
+/// The `Q×Q` Fisher Gram `G[a,b] = δ_aᵀ·F·δ_b` of the `directions`,
+/// averaged over `inputs` — the curvature block of the LCNG solve.
 ///
-/// Returns one `F·v` per direction, in order.
-///
-/// # Panics
-///
-/// Panics when `inputs` is empty or shapes mismatch.
-pub fn fisher_vector_products(
-    net: &Network,
-    theta: &RVector,
-    inputs: &[CVector],
-    directions: &[RVector],
-) -> Vec<RVector> {
-    assert!(
-        !inputs.is_empty(),
-        "fisher product needs at least one input"
-    );
-    let n = net.param_count();
-    let mut acc: Vec<RVector> = directions.iter().map(|_| RVector::zeros(n)).collect();
-    let zero_in = CVector::zeros(net.input_dim());
-    for x in inputs {
-        let (_, tape) = net.forward_tape(x, theta);
-        for (k, v) in directions.iter().enumerate() {
-            let dy = net.jvp(&tape, theta, &zero_in, v);
-            let (_, grad) = net.vjp(&tape, theta, &dy);
-            acc[k] += &grad;
-        }
-    }
-    let scale = 1.0 / inputs.len() as f64;
-    acc.into_iter().map(|a| a.scale(scale)).collect()
-}
-
-/// Pool-parallel variant of [`fisher_vector_products`], fanning the inputs
-/// out across the pool's workers.
-///
-/// Each worker records the forward tape of its input once and pushes every
-/// direction through it (the same tape reuse as the serial variant); the
-/// per-input contributions are then combined along a fixed-shape reduction
-/// tree, so the result is bitwise identical for every pool size.
+/// Since `δ_aᵀ F δ_b = mean_x Re⟨J_x δ_a, J_x δ_b⟩`, the Gram needs only
+/// forward tangents: each input takes one tape-free
+/// [`Network::dual_sweep`] carrying the primal and all `Q` tangents, and
+/// contributes the real Gram of its `K × Q` output tangents. No reverse
+/// pass and no `N`-length product is formed. Inputs fan out over `pool`;
+/// their blocks are summed along a fixed-shape reduction tree, so the result
+/// is bitwise identical for every pool size, and it is exactly symmetric.
 ///
 /// # Panics
 ///
-/// Panics when `inputs` is empty or shapes mismatch.
-pub fn fisher_vector_products_pooled(
+/// Panics when `inputs` is empty or shapes mismatch the network.
+///
+/// # Examples
+///
+/// ```
+/// use rand::SeedableRng;
+/// use photon_exec::ExecPool;
+/// use photon_linalg::random::{normal_cvector, normal_rvector};
+/// use photon_photonics::{fisher_gram, Architecture};
+///
+/// let net = Architecture::single_mesh(4, 4)?.build_ideal();
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+/// let theta = net.init_params(&mut rng);
+/// let inputs: Vec<_> = (0..3).map(|_| normal_cvector(4, &mut rng)).collect();
+/// let dirs: Vec<_> = (0..5).map(|_| normal_rvector(net.param_count(), &mut rng)).collect();
+/// let g = fisher_gram(&net, &theta, &inputs, &dirs, &ExecPool::serial());
+/// assert_eq!((g.rows(), g.cols()), (5, 5));
+/// assert_eq!(g[(1, 3)], g[(3, 1)]);
+/// # Ok::<(), photon_photonics::NetworkError>(())
+/// ```
+pub fn fisher_gram(
     net: &Network,
     theta: &RVector,
     inputs: &[CVector],
     directions: &[RVector],
     pool: &ExecPool,
-) -> Vec<RVector> {
-    assert!(
-        !inputs.is_empty(),
-        "fisher product needs at least one input"
-    );
-    let zero_in = CVector::zeros(net.input_dim());
-    let per_input: Vec<Vec<RVector>> = pool.map(inputs, |_, x| {
-        let (_, tape) = net.forward_tape(x, theta);
-        directions
-            .iter()
-            .map(|v| {
-                let dy = net.jvp(&tape, theta, &zero_in, v);
-                let (_, grad) = net.vjp(&tape, theta, &dy);
-                grad
-            })
-            .collect()
+) -> RMatrix {
+    assert!(!inputs.is_empty(), "fisher gram needs at least one input");
+    let q = directions.len();
+    let tangents = RMatrix::from_fn(net.param_count(), q, |p, k| directions[k][p]);
+    let per_input: Vec<RMatrix> = pool.map(inputs, |_, x| {
+        tangent_gram_upper(&net.dual_sweep(x, theta, &tangents))
     });
-    let summed = tree_reduce(per_input, &|mut a: Vec<RVector>, b: Vec<RVector>| {
-        for (ga, gb) in a.iter_mut().zip(&b) {
-            *ga += gb;
-        }
+    let summed = tree_reduce(per_input, &|mut a: RMatrix, b: RMatrix| {
+        a.axpy(1.0, &b);
         a
     })
     .expect("inputs is non-empty");
-    let scale = 1.0 / inputs.len() as f64;
-    summed.into_iter().map(|g| g.scale(scale)).collect()
+    let mut gram = summed.scale(1.0 / inputs.len() as f64);
+    for a in 0..q {
+        for b in 0..a {
+            gram[(a, b)] = gram[(b, a)];
+        }
+    }
+    gram
+}
+
+/// Upper triangle of `Re(TᴴT)` for the tangent columns `1..=Q` of a dual
+/// state (lower triangle left zero), accumulated port by port.
+fn tangent_gram_upper(dual: &CMatrix) -> RMatrix {
+    let q = dual.cols() - 1;
+    let mut g = RMatrix::zeros(q, q);
+    let data = g.as_mut_slice();
+    for r in 0..dual.rows() {
+        let t = &dual.row(r)[1..];
+        for (a, ta) in t.iter().enumerate() {
+            for (gab, tb) in data[a * q + a..(a + 1) * q].iter_mut().zip(&t[a..]) {
+                *gab += ta.re * tb.re + ta.im * tb.im;
+            }
+        }
+    }
+    g
 }
 
 /// Dense complex Jacobian `∂y/∂θ ∈ ℂ^{M×N}` of a single module at `(x, θ)`,
@@ -408,54 +408,5 @@ mod tests {
         assert_eq!(anisotropy_ratio(&RVector::zeros(0), 1e-12), 1.0);
         let flat = RVector::from_slice(&[2.0, 2.0, 2.0]);
         assert!((anisotropy_ratio(&flat, 1e-12) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pooled_fvp_is_thread_count_invariant() {
-        let mut rng = StdRng::seed_from_u64(57);
-        let net = Architecture::single_mesh(4, 2).unwrap().build_ideal();
-        let theta = net.init_params(&mut rng);
-        let inputs: Vec<CVector> = (0..5).map(|_| normal_cvector(4, &mut rng)).collect();
-        let dirs: Vec<RVector> = (0..4)
-            .map(|_| normal_rvector(net.param_count(), &mut rng))
-            .collect();
-        let serial =
-            fisher_vector_products_pooled(&net, &theta, &inputs, &dirs, &ExecPool::serial());
-        for threads in [2usize, 4, 8] {
-            let pooled = fisher_vector_products_pooled(
-                &net,
-                &theta,
-                &inputs,
-                &dirs,
-                &ExecPool::new(threads),
-            );
-            for (a, b) in serial.iter().zip(&pooled) {
-                for (va, vb) in a.iter().zip(b.iter()) {
-                    assert_eq!(va.to_bits(), vb.to_bits());
-                }
-            }
-        }
-        // Same operator as the linear-accumulation variant, up to fp
-        // reassociation.
-        let linear = fisher_vector_products(&net, &theta, &inputs, &dirs);
-        for (a, b) in serial.iter().zip(&linear) {
-            assert!((a - b).max_abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn batched_fvp_matches_single() {
-        let mut rng = StdRng::seed_from_u64(56);
-        let net = Architecture::single_mesh(4, 2).unwrap().build_ideal();
-        let theta = net.init_params(&mut rng);
-        let inputs: Vec<CVector> = (0..2).map(|_| normal_cvector(4, &mut rng)).collect();
-        let dirs: Vec<RVector> = (0..3)
-            .map(|_| normal_rvector(net.param_count(), &mut rng))
-            .collect();
-        let batched = fisher_vector_products(&net, &theta, &inputs, &dirs);
-        for (k, d) in dirs.iter().enumerate() {
-            let single = fisher_vector_product(&net, &theta, &inputs, d);
-            assert!((&batched[k] - &single).max_abs() < 1e-12);
-        }
     }
 }

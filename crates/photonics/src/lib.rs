@@ -20,9 +20,11 @@
 //!   rank-1 incremental updates ([`PinnedBase`]), an opt-in f32 SIMD
 //!   evaluation tier, and `i16` fixed-point deployment artifacts
 //!   ([`QuantizedNetwork`]);
-//! - Fisher-information machinery ([`fisher_vector_product`],
-//!   [`module_fisher_block`], [`output_covariance`]) used by the linear
-//!   combination natural gradient optimizer.
+//! - Fisher-information machinery used by the linear combination natural
+//!   gradient optimizer: the probe-span Fisher Gram ([`fisher_gram`], built
+//!   from tape-free forward-tangent sweeps, [`Network::dual_sweep`]), the
+//!   single product [`fisher_vector_product`] it is tested against, and the
+//!   diagnostics [`module_fisher_block`] and [`output_covariance`].
 //!
 //! # Examples
 //!
@@ -75,9 +77,8 @@ pub use error::{
     zeta_from_parts, ErrorCursor, ErrorModel, ErrorRmse, ErrorRows, ErrorVector, ErrorVectorError,
 };
 pub use fisher::{
-    anisotropy_ratio, covariance_eigenvalues, fisher_vector_product, fisher_vector_products,
-    fisher_vector_products_pooled, module_fisher_block, module_jacobian, output_covariance,
-    standard_perturbations,
+    anisotropy_ratio, covariance_eigenvalues, fisher_gram, fisher_vector_product,
+    module_fisher_block, module_jacobian, output_covariance, standard_perturbations,
 };
 pub use mesh::{MeshKind, MeshModule};
 pub use modrelu::ModRelu;

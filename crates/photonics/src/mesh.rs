@@ -317,6 +317,26 @@ impl OnnModule for MeshModule {
         dstate
     }
 
+    fn dual_sweep(&self, theta: &[f64], dtheta: &[f64], dual: &mut CMatrix) {
+        debug_assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
+        debug_assert_eq!(dual.rows(), self.dim, "dual state row mismatch");
+        let q = dual.cols() - 1;
+        debug_assert_eq!(dtheta.len(), self.param_count * q, "tangent block mismatch");
+        for op in &self.ops {
+            // The op's linear part moves primal and tangents alike; a phase
+            // shifter adds `j·y·dθ` to each tangent, with `y` the post-op
+            // primal already in column 0.
+            op.apply_to_rows(dual, theta);
+            if let Op::Ps { port, param, .. } = *op {
+                let (primal, tangents) = dual.row_mut(port).split_at_mut(1);
+                let jy = C64::new(-primal[0].im, primal[0].re);
+                for (t, &d) in tangents.iter_mut().zip(&dtheta[param * q..(param + 1) * q]) {
+                    *t += jy.scale(d);
+                }
+            }
+        }
+    }
+
     fn vjp(
         &self,
         tape: &ModuleTape,

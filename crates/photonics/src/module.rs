@@ -272,6 +272,32 @@ pub trait OnnModule: fmt::Debug + Send + Sync {
     /// `dx` and parameter tangent `dtheta`, linearized at the tape point.
     fn jvp(&self, tape: &ModuleTape, theta: &[f64], dx: &CVector, dtheta: &[f64]) -> CVector;
 
+    /// Tape-free forward sweep of one primal state and `Q` tangents at once.
+    ///
+    /// `dual` is port-major `K × (Q+1)`: column 0 holds the primal state,
+    /// columns `1..=Q` the state tangents. On entry it holds the module input
+    /// and its tangents, on exit the module output and the output tangents.
+    /// `dtheta` is the parameter-major `param_count × Q` tangent block
+    /// (row-major: entry `p·Q + q` is tangent `q`'s component on parameter
+    /// `p`).
+    ///
+    /// The default records a tape and runs one [`OnnModule::jvp`] per
+    /// tangent; [`crate::MeshModule`] overrides it with a single op walk.
+    fn dual_sweep(&self, theta: &[f64], dtheta: &[f64], dual: &mut CMatrix) {
+        let q = dual.cols() - 1;
+        debug_assert_eq!(dtheta.len(), self.param_count() * q, "tangent block mismatch");
+        let (y, tape) = self.forward_tape(&dual.col(0), theta);
+        dual.set_col(0, &y);
+        let mut dth = vec![0.0; self.param_count()];
+        for t in 1..=q {
+            for (p, d) in dth.iter_mut().enumerate() {
+                *d = dtheta[p * q + t - 1];
+            }
+            let dy = self.jvp(&tape, theta, &dual.col(t), &dth);
+            dual.set_col(t, &dy);
+        }
+    }
+
     /// Reverse-mode derivative: consumes the output cotangent `gy`, returns
     /// the input cotangent, and accumulates the parameter cotangent into
     /// `grad_theta`.

@@ -5,7 +5,7 @@ use std::fmt;
 
 use rand::Rng;
 
-use photon_linalg::{CVector, RVector};
+use photon_linalg::{CMatrix, CVector, RMatrix, RVector};
 
 use crate::electrooptic::ElectroOptic;
 use crate::error::{ErrorCursor, ErrorRows, ErrorVector};
@@ -554,6 +554,35 @@ impl Network {
             );
         }
         dstate
+    }
+
+    /// Tape-free forward sweep of the output and `Q` parameter tangents at
+    /// `(x, θ)`: returns the port-major `K × (Q+1)` state whose column 0 is
+    /// the output `y(x, θ)` and whose column `q + 1` is the output tangent
+    /// `J·δ_q`, where `δ_q` is column `q` of the parameter-major `N × Q`
+    /// block `tangents`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x`, `theta` or `tangents` disagree with the network's
+    /// dimensions.
+    pub fn dual_sweep(&self, x: &CVector, theta: &RVector, tangents: &RMatrix) -> CMatrix {
+        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
+        assert_eq!(theta.len(), self.param_count, "parameter count mismatch");
+        assert_eq!(tangents.rows(), self.param_count, "tangent count mismatch");
+        let q = tangents.cols();
+        let mut dual = CMatrix::zeros(x.len(), q + 1);
+        dual.set_col(0, x);
+        let block = tangents.as_slice();
+        for (i, m) in self.modules.iter().enumerate() {
+            let range = self.module_param_range(i);
+            m.dual_sweep(
+                &theta.as_slice()[range.clone()],
+                &block[range.start * q..range.end * q],
+                &mut dual,
+            );
+        }
+        dual
     }
 
     /// Reverse-mode derivative: given the output cotangent `gy` (convention

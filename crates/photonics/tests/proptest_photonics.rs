@@ -2,17 +2,56 @@
 //! simulator.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
+use photon_exec::ExecPool;
 use photon_linalg::random::{normal_cvector, normal_rvector};
-use photon_linalg::{CVector, RVector};
+use photon_linalg::{symmetric_eig, CVector, RMatrix, RVector};
 use photon_photonics::{
-    fisher_vector_product, module_jacobian, Architecture, ErrorCursor, ErrorModel, ErrorVector,
-    MeshModule, ModuleSpec, OnnModule,
+    fisher_gram, fisher_vector_product, module_jacobian, Architecture, ErrorCursor, ErrorModel,
+    ErrorVector, MeshModule, ModuleSpec, Network, OnnModule,
 };
 
 fn arb_theta(n: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0..std::f64::consts::TAU, n)
+}
+
+/// Probe counts the Fisher Gram is checked at: one probe, a few, and the
+/// workload's `Q = K = 24` (more probes than parameters on the small nets).
+const GRAM_QS: [usize; 3] = [1, 3, 24];
+
+/// A Fisher-Gram case: Clements, Reck or PhaseDiag alone, or the two-mesh
+/// classifier with modReLU or the electro-optic activation (the modules
+/// without a dedicated dual sweep), all with random fabrication errors;
+/// random phases, small positive activation biases, 5 random inputs and
+/// `q` random directions.
+fn gram_case(kind: usize, seed: u64, q: usize) -> (Network, RVector, Vec<CVector>, Vec<RVector>) {
+    let arch = match kind {
+        0 => Architecture::new(vec![ModuleSpec::Clements { dim: 4, layers: 3 }]),
+        1 => Architecture::new(vec![ModuleSpec::Reck { dim: 4 }]),
+        2 => Architecture::new(vec![ModuleSpec::PhaseDiag { dim: 3 }]),
+        3 => Architecture::two_mesh_classifier(3, 3),
+        _ => Architecture::two_mesh_eo_classifier(3, 3, 0.1, 0.8),
+    }
+    .unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (n_bs, n_ps) = arch.error_slots();
+    let errors = ErrorVector::sample(n_bs, n_ps, &ErrorModel::with_beta(1.0), &mut rng);
+    let net = arch.build_with_errors(&errors).unwrap();
+    let mut theta = RVector::zeros(net.param_count());
+    for (i, m) in net.modules().iter().enumerate() {
+        for j in net.module_param_range(i) {
+            theta[j] = if m.is_compilable() {
+                rng.gen::<f64>() * std::f64::consts::TAU
+            } else {
+                rng.gen::<f64>() * 0.3 + 0.05
+            };
+        }
+    }
+    let k = net.input_dim();
+    let inputs = (0..5).map(|_| normal_cvector(k, &mut rng)).collect();
+    let dirs = (0..q).map(|_| normal_rvector(net.param_count(), &mut rng)).collect();
+    (net, theta, inputs, dirs)
 }
 
 proptest! {
@@ -171,6 +210,71 @@ proptest! {
             let _ = chip.forward_powers(&x, &theta);
         }
         prop_assert_eq!(chip.query_count(), (fields + powers) as u64);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The forward-tangent Gram equals the Gram of single Fisher-vector
+    /// products, `G[a,b] = δ_aᵀ·F·δ_b`, to 1e-12 of its largest entry.
+    #[test]
+    fn fisher_gram_matches_fisher_vector_products(
+        kind in 0usize..5,
+        qi in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let (net, theta, inputs, dirs) = gram_case(kind, seed, GRAM_QS[qi]);
+        let gram = fisher_gram(&net, &theta, &inputs, &dirs, &ExecPool::serial());
+        let scale = gram.max_abs();
+        prop_assert!(scale > 0.0);
+        for (b, db) in dirs.iter().enumerate() {
+            let fv = fisher_vector_product(&net, &theta, &inputs, db);
+            for (a, da) in dirs.iter().enumerate() {
+                let err = (gram[(a, b)] - da.dot(&fv).unwrap()).abs();
+                prop_assert!(err <= 1e-12 * scale, "G[{a},{b}] off by {err:e}, max|G| = {scale:e}");
+            }
+        }
+    }
+
+    /// The Gram is exactly symmetric and positive semi-definite.
+    #[test]
+    fn fisher_gram_is_symmetric_psd(kind in 0usize..5, qi in 0usize..3, seed in 0u64..1000) {
+        let (net, theta, inputs, dirs) = gram_case(kind, seed, GRAM_QS[qi]);
+        let gram = fisher_gram(&net, &theta, &inputs, &dirs, &ExecPool::serial());
+        let q = dirs.len();
+        for a in 0..q {
+            for b in 0..a {
+                prop_assert_eq!(gram[(a, b)].to_bits(), gram[(b, a)].to_bits());
+            }
+        }
+        let min = symmetric_eig(&gram).unwrap().values.min();
+        prop_assert!(min >= -1e-12 * gram.max_abs(), "eigenvalue {min:e}");
+    }
+
+    /// The dual sweep's primal column is the network output.
+    #[test]
+    fn dual_sweep_primal_matches_forward(kind in 0usize..5, qi in 0usize..3, seed in 0u64..1000) {
+        let (net, theta, inputs, dirs) = gram_case(kind, seed, GRAM_QS[qi]);
+        let tangents = RMatrix::from_fn(net.param_count(), dirs.len(), |p, k| dirs[k][p]);
+        for x in &inputs {
+            let dual = net.dual_sweep(x, &theta, &tangents);
+            let y = net.forward(x, &theta);
+            prop_assert!((&dual.col(0) - &y).max_abs() <= 1e-12);
+        }
+    }
+
+    /// The Gram is bitwise identical at every pool size.
+    #[test]
+    fn fisher_gram_is_pool_size_invariant(kind in 0usize..5, qi in 0usize..3, seed in 0u64..1000) {
+        let (net, theta, inputs, dirs) = gram_case(kind, seed, GRAM_QS[qi]);
+        let serial = fisher_gram(&net, &theta, &inputs, &dirs, &ExecPool::serial());
+        for threads in [2usize, 3, 8] {
+            let pooled = fisher_gram(&net, &theta, &inputs, &dirs, &ExecPool::new(threads));
+            for (a, b) in serial.as_slice().iter().zip(pooled.as_slice()) {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "{} threads", threads);
+            }
+        }
     }
 }
 

@@ -77,8 +77,12 @@ EOF
 # tiers — the portable scalar reference (PHOTON_KERNEL=scalar) and whatever
 # SIMD tier the host dispatches natively (AVX2-FMA / NEON / scalar). This is
 # what makes the vector kernels trustworthy: same tests, both arithmetics.
+# The photonics property suite rides along: its Fisher-Gram checks run the
+# dual sweep through the same row kernels.
 PHOTON_KERNEL=scalar cargo test -q --offline --test fast_path --test compiled_equivalence
 cargo test -q --offline --test fast_path --test compiled_equivalence
+PHOTON_KERNEL=scalar cargo test -q --offline -p photon-photonics --test proptest_photonics
+cargo test -q --offline -p photon-photonics --test proptest_photonics
 
 # Fast-path perf gate: smoke-run the tier-stack bench. Regenerates
 # BENCH_simd.json and fails if no fast tier clears 2x over the plain
