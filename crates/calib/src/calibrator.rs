@@ -14,15 +14,18 @@
 //! The fit touches only the software model — chip queries are spent solely
 //! on step 1, so calibration cost is exactly `plan.query_cost()` queries.
 
+use std::sync::Mutex;
+
 use rand::Rng;
 
+use photon_exec::ExecPool;
 use photon_linalg::{CVector, LinalgError, RMatrix, RVector, C64};
 use photon_photonics::{
     Architecture, ErrorRows, ErrorVector, Network, NetworkError, NetworkScratch, OnnChip,
 };
 use photon_trace::{QueryCategory, TraceEvent, TraceHandle};
 
-use crate::gauss_newton::{fit_least_squares, LeastSquares, LmSettings};
+use crate::gauss_newton::{fit_least_squares, pool_for, LeastSquares, LmSettings};
 use crate::probe::{measure_chip, Measurements, ProbePlan};
 
 /// Calibration hyperparameters.
@@ -292,7 +295,11 @@ pub fn calibrate_from_measurements<C: OnnChip>(
 ///
 /// The Jacobian is exact: one taped forward per `(setting, input)` and one
 /// backward sweep carrying the `K` detector cotangents `2·y_d·e_d` together
-/// ([`Network::error_vjp`]). A dropped or non-finite reading has its
+/// ([`Network::error_vjp`]). The `(setting, input)` blocks are independent,
+/// each writing its own `K` rows, so from
+/// [`crate::POOL_MIN_JACOBIAN_ENTRIES`] up they run on
+/// [`ExecPool::from_env`], one tape and scratch per worker, with the same
+/// bits at any thread count. A dropped or non-finite reading has its
 /// residual entry and its Jacobian row zeroed, which removes that detector
 /// sample from the objective.
 ///
@@ -304,6 +311,7 @@ pub struct CalibrationProblem<'a> {
     plan: &'a ProbePlan,
     measured: &'a Measurements,
     scratch: NetworkScratch,
+    pool: ExecPool,
 }
 
 impl<'a> CalibrationProblem<'a> {
@@ -315,7 +323,15 @@ impl<'a> CalibrationProblem<'a> {
             plan,
             measured,
             scratch: NetworkScratch::new(),
+            pool: ExecPool::from_env(),
         }
+    }
+
+    /// This problem with its Jacobian on `pool` (above the work threshold).
+    #[cfg(test)]
+    pub(crate) fn with_pool(mut self, pool: ExecPool) -> Self {
+        self.pool = pool;
+        self
     }
 
     fn model(&self, flat: &RVector) -> Network {
@@ -359,35 +375,48 @@ impl LeastSquares for CalibrationProblem<'_> {
         let (n_bs, n_ps) = self.arch.error_slots();
         let k_out = model.output_dim();
         let width = n_bs + 2 * n_ps;
-        let mut jac = RMatrix::zeros(self.plan.residual_count(k_out), width);
-        let mut tape = model.new_tape();
-        let mut y = CVector::zeros(k_out);
-        let mut gys = vec![CVector::zeros(k_out); k_out];
-        let mut block = 0;
-        for (s, theta) in self.plan.settings.iter().enumerate() {
-            for (p, x) in self.plan.inputs.iter().enumerate() {
-                model.forward_tape_into(x, theta, &mut self.scratch, &mut y, &mut tape);
-                let target = &self.measured.powers[s][p];
-                // ∂|y_d|²/∂Re(y), ∂/∂Im(y) = 2·(Re y_d, Im y_d) on port d.
-                for (d, g) in gys.iter_mut().enumerate() {
-                    g.as_mut_slice().fill(C64::ZERO);
-                    g[d] = y[d].scale(2.0);
-                }
-                let rows = &mut jac.as_mut_slice()[block * width..(block + k_out) * width];
-                model.error_vjp(
-                    &tape,
-                    theta,
-                    &mut gys,
-                    &mut ErrorRows::new(rows, n_bs, n_ps),
-                );
-                for d in 0..k_out {
-                    if Self::power_residual(y[d], target[d]).is_none() {
-                        rows[d * width..(d + 1) * width].fill(0.0);
-                    }
-                }
-                block += k_out;
+        let rows = self.plan.residual_count(k_out);
+        let mut jac = RMatrix::zeros(rows, width);
+        // One item per (setting, input) block: its K rows of the Jacobian.
+        let blocks: Vec<Mutex<&mut [f64]>> = jac
+            .as_mut_slice()
+            .chunks_mut((k_out * width).max(1))
+            .map(Mutex::new)
+            .collect();
+        let inputs = self.plan.inputs.len();
+        let worker = || {
+            let gys = vec![CVector::zeros(k_out); k_out];
+            (
+                model.new_tape(),
+                NetworkScratch::new(),
+                CVector::zeros(k_out),
+                gys,
+            )
+        };
+        pool_for(&self.pool, rows, width).map_with(&blocks, worker, |work, b, block| {
+            let (tape, scratch, y, gys) = work;
+            let (theta, x) = (
+                &self.plan.settings[b / inputs],
+                &self.plan.inputs[b % inputs],
+            );
+            let target = &self.measured.powers[b / inputs][b % inputs];
+            model.forward_tape_into(x, theta, scratch, y, tape);
+            // ∂|y_d|²/∂Re(y), ∂/∂Im(y) = 2·(Re y_d, Im y_d) on port d.
+            for (d, g) in gys.iter_mut().enumerate() {
+                g.as_mut_slice().fill(C64::ZERO);
+                g[d] = y[d].scale(2.0);
             }
-        }
+            let mut rows = block
+                .lock()
+                .expect("each block is locked by one worker only");
+            model.error_vjp(tape, theta, gys, &mut ErrorRows::new(&mut rows, n_bs, n_ps));
+            for d in 0..k_out {
+                if Self::power_residual(y[d], target[d]).is_none() {
+                    rows[d * width..(d + 1) * width].fill(0.0);
+                }
+            }
+        });
+        drop(blocks);
         jac
     }
 }
@@ -544,6 +573,66 @@ mod tests {
         assert_eq!(chip.query_count(), 12);
         // From the oracle prior the residual is already ~zero.
         assert!(outcome.initial_cost < 1e-12, "{}", outcome.initial_cost);
+    }
+
+    /// The K = 12 Table-1 fit: 60 probes (12 basis + 8 random inputs × 3
+    /// settings) against the two-mesh classifier's 840 error parameters.
+    fn k12_problem_parts() -> (Architecture, ProbePlan, Measurements) {
+        let mut rng = StdRng::seed_from_u64(42);
+        let arch = Architecture::two_mesh_classifier(12, 12).unwrap();
+        let chip = FabricatedChip::fabricate(&arch, &ErrorModel::with_beta(1.0), &mut rng);
+        let plan = ProbePlan::for_chip(&chip, true, 8, 3, &mut rng);
+        let measured = measure_chip(&chip, &plan);
+        (arch, plan, measured)
+    }
+
+    #[test]
+    fn pool_threshold_splits_k12_and_keeps_k4_inline() {
+        let default = CalibrationSettings::default();
+        let entries = |k: usize| {
+            let arch = Architecture::two_mesh_classifier(k, k).unwrap();
+            let (n_bs, n_ps) = arch.error_slots();
+            let probes = (k + default.random_inputs) * default.num_settings;
+            probes * k * (n_bs + 2 * n_ps)
+        };
+        assert_eq!(entries(4), 144 * 88);
+        assert!(entries(4) < crate::POOL_MIN_JACOBIAN_ENTRIES);
+        assert_eq!(entries(12), 720 * 840);
+        assert!(entries(12) >= crate::POOL_MIN_JACOBIAN_ENTRIES);
+    }
+
+    #[test]
+    fn k12_fit_is_bitwise_identical_across_pools() {
+        use crate::gauss_newton::fit_least_squares_on;
+        let (arch, plan, measured) = k12_problem_parts();
+        let (n_bs, n_ps) = arch.error_slots();
+        let init = RVector::zeros(n_bs + 2 * n_ps);
+        let lm = LmSettings {
+            max_iters: 2,
+            ..LmSettings::default()
+        };
+        let fit = |threads: usize| {
+            let pool = ExecPool::new(threads);
+            let mut problem =
+                CalibrationProblem::new(&arch, &plan, &measured).with_pool(pool.clone());
+            let jac = problem.jacobian(&init, &RVector::zeros(0));
+            let fit = fit_least_squares_on(&pool, &mut problem, &init, &lm).unwrap();
+            assert!(
+                fit.cost < fit.initial_cost,
+                "the fit must move at {threads} threads"
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (
+                bits(jac.as_slice()),
+                bits(fit.params.as_slice()),
+                fit.cost.to_bits(),
+                fit.iterations,
+            )
+        };
+        let serial = fit(1);
+        for threads in [2, 3, 8] {
+            assert!(fit(threads) == serial, "fit differs at {threads} threads");
+        }
     }
 
     #[test]

@@ -5,8 +5,52 @@
 //! bare residual closure ([`levenberg_marquardt`]) falls back to forward
 //! differences. Either way the fit runs on the software model and costs no
 //! chip queries.
+//!
+//! The dual normal matrix `J·Jᵀ` is built band by band
+//! ([`RMatrix::row_gram_band`]); from [`POOL_MIN_JACOBIAN_ENTRIES`] up the
+//! bands run on [`ExecPool::from_env`]. Every band writes its own rows with
+//! a fixed per-entry summation order, so the fit has the same bits at any
+//! thread count.
 
-use photon_linalg::{LinalgError, RCholesky, RMatrix, RVector};
+use std::sync::Mutex;
+
+use photon_exec::ExecPool;
+use photon_linalg::{LinalgError, RCholesky, RMatrix, RVector, ROW_GRAM_BAND};
+
+/// Jacobian entries (`m × n`) from which the fit's row Gram and the
+/// calibration Jacobian ([`crate::CalibrationProblem`]) go to the worker
+/// pool. Below it both run inline and spawn no thread: a K = 4
+/// recalibration (144 × 88 at the default probe plan) stays inline, the
+/// K = 12 Table-1 fit (720 × 840) splits.
+pub const POOL_MIN_JACOBIAN_ENTRIES: usize = 1 << 16;
+
+/// `pool` for work on an `m × n` Jacobian from
+/// [`POOL_MIN_JACOBIAN_ENTRIES`] up, a serial pool below.
+pub(crate) fn pool_for(pool: &ExecPool, m: usize, n: usize) -> ExecPool {
+    if m.saturating_mul(n) >= POOL_MIN_JACOBIAN_ENTRIES {
+        pool.clone()
+    } else {
+        ExecPool::serial()
+    }
+}
+
+/// `J·Jᵀ` with its row bands on `pool`: bitwise [`RMatrix::row_gram`].
+fn row_gram_on(pool: &ExecPool, jac: &RMatrix) -> RMatrix {
+    let m = jac.rows();
+    let mut g = RMatrix::zeros(m, m);
+    let bands: Vec<Mutex<&mut [f64]>> = g
+        .as_mut_slice()
+        .chunks_mut(ROW_GRAM_BAND * m.max(1))
+        .map(Mutex::new)
+        .collect();
+    pool.map_with(&bands, Vec::new, |panel, band, rows| {
+        let mut rows = rows.lock().expect("each band is locked by one worker only");
+        jac.row_gram_band(band, &mut rows, panel);
+    });
+    drop(bands);
+    g.mirror_upper();
+    g
+}
 
 /// A nonlinear least-squares problem `min ‖r(x)‖²`.
 pub trait LeastSquares {
@@ -142,6 +186,17 @@ pub fn fit_least_squares<P: LeastSquares + ?Sized>(
     init: &RVector,
     settings: &LmSettings,
 ) -> Result<LmResult, LinalgError> {
+    fit_least_squares_on(&ExecPool::from_env(), problem, init, settings)
+}
+
+/// [`fit_least_squares`] with the row Gram's bands on `pool` (from
+/// [`POOL_MIN_JACOBIAN_ENTRIES`] up).
+pub(crate) fn fit_least_squares_on<P: LeastSquares + ?Sized>(
+    pool: &ExecPool,
+    problem: &mut P,
+    init: &RVector,
+    settings: &LmSettings,
+) -> Result<LmResult, LinalgError> {
     let n = init.len();
     let mut x = init.clone();
     let mut r = problem.residual(&x);
@@ -161,18 +216,18 @@ pub fn fit_least_squares<P: LeastSquares + ?Sized>(
         // drops from O(n³) to O(m³).
         let dual = m < n;
         let (gram, jtr) = if dual {
-            (jac.row_gram(), RVector::zeros(0))
+            (row_gram_on(&pool_for(pool, m, n), &jac), RVector::zeros(0))
         } else {
             (jac.gram(), jac.transpose_mul_vec(&r)?)
         };
 
         // Inner damping loop: grow λ until a step is accepted.
         let mut accepted = false;
+        let mean_diag = gram.trace()? / gram.rows() as f64;
         for _ in 0..12 {
-            let dim = gram.rows();
             let mut a = gram.clone();
-            a.add_diagonal(lambda * (gram.trace()? / dim as f64).max(1e-12));
-            let chol = match RCholesky::new(&a) {
+            a.add_diagonal(lambda * mean_diag.max(1e-12));
+            let chol = match RCholesky::from_owned(a) {
                 Ok(c) => c,
                 Err(_) => {
                     lambda *= settings.lambda_up;

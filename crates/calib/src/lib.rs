@@ -35,5 +35,6 @@ pub use calibrator::{
 pub use fidelity::{evaluate_model, field_fidelity, power_fidelity, FidelityReport};
 pub use gauss_newton::{
     fit_least_squares, levenberg_marquardt, LeastSquares, LmResult, LmSettings,
+    POOL_MIN_JACOBIAN_ENTRIES,
 };
 pub use probe::{measure_chip, measure_chip_pooled, Measurements, ProbePlan};

@@ -37,6 +37,7 @@ use std::fs;
 use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
+use photon_linalg::random::splitmix64;
 use photon_linalg::{RMatrix, RVector};
 use photon_opt::{AdamState, CmaEsState};
 use photon_photonics::ErrorVector;
@@ -60,16 +61,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         }
     }
     !crc
-}
-
-/// SplitMix64: a tiny, high-quality mixing function used to derive
-/// independent seeds from a root seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Derives the RNG seed for one stage-2 epoch from the run's root seed.

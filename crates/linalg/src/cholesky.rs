@@ -1,5 +1,15 @@
 //! Cholesky factorization of symmetric / Hermitian positive-definite
 //! matrices, plus covariance-shaped Gaussian sampling.
+//!
+//! # Determinism
+//!
+//! [`RCholesky`] factors left-looking in panels of 8 columns. Entry
+//! `(i, j)` starts from `A[i][j]` and subtracts `L[i][k]·L[j][k]` for `k`
+//! ascending, one multiply and one subtract per term (never fused): the
+//! `k` below the panel in 4 × 8 register tiles whose vector lanes run
+//! across independent entries, then the `k` inside the panel one entry at
+//! a time. That is the order of the textbook column loop, so the factor has
+//! its bits on every kernel tier.
 
 use crate::c64::C64;
 use crate::cmatrix::CMatrix;
@@ -7,6 +17,13 @@ use crate::cvector::CVector;
 use crate::error::{LinalgError, Result};
 use crate::rmatrix::RMatrix;
 use crate::rvector::RVector;
+use crate::tiered::{avx2_tiered, pack_transposed, tile, LANES};
+
+/// Columns per panel of the blocked real factorization.
+const PANEL: usize = LANES;
+
+/// Rows per register tile of the panel's trailing update.
+const TILE_ROWS: usize = 4;
 
 /// Cholesky factorization `A = L·Lᵀ` of a real symmetric positive-definite
 /// matrix.
@@ -41,6 +58,16 @@ impl RCholesky {
     /// [`LinalgError::NotSquare`] for non-square input,
     /// [`LinalgError::NotPositiveDefinite`] when a pivot is non-positive.
     pub fn new(a: &RMatrix) -> Result<Self> {
+        RCholesky::from_owned(a.clone())
+    }
+
+    /// [`RCholesky::new`], factoring in place in `a`'s storage: no second
+    /// `n × n` buffer. Only the lower triangle of `a` is read.
+    ///
+    /// # Errors
+    ///
+    /// As [`RCholesky::new`].
+    pub fn from_owned(mut a: RMatrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -48,50 +75,11 @@ impl RCholesky {
             });
         }
         let n = a.rows();
-        let mut l = RMatrix::zeros(n, n);
-        for j in 0..n {
-            let data = l.as_mut_slice();
-            let lj = &data[j * n..j * n + j];
-            let mut d = a[(j, j)];
-            for &x in lj {
-                d -= x * x;
-            }
-            if d <= 0.0 || !d.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite);
-            }
-            let dj = d.sqrt();
-            // Column j below the pivot, four rows per pass over row j's
-            // prefix. Each row keeps its own accumulator and subtracts in k
-            // order, so the bits match the one-row-at-a-time loop.
-            let (head, tail) = data.split_at_mut((j + 1) * n);
-            head[j * n + j] = dj;
-            let lj = &head[j * n..j * n + j];
-            let mut i = j + 1;
-            while i + 4 <= n {
-                let base = (i - j - 1) * n;
-                let rows = &tail[base..base + 4 * n];
-                let mut s = [a[(i, j)], a[(i + 1, j)], a[(i + 2, j)], a[(i + 3, j)]];
-                for (k, &x) in lj.iter().enumerate() {
-                    s[0] -= rows[k] * x;
-                    s[1] -= rows[n + k] * x;
-                    s[2] -= rows[2 * n + k] * x;
-                    s[3] -= rows[3 * n + k] * x;
-                }
-                for (r, v) in s.iter().enumerate() {
-                    tail[base + r * n + j] = v / dj;
-                }
-                i += 4;
-            }
-            for i in i..n {
-                let row = &mut tail[(i - j - 1) * n..(i - j) * n];
-                let mut s = a[(i, j)];
-                for (&x, &y) in row[..j].iter().zip(lj) {
-                    s -= x * y;
-                }
-                row[j] = s / dj;
-            }
+        for (i, row) in a.as_mut_slice().chunks_exact_mut(n.max(1)).enumerate() {
+            row[i + 1..].fill(0.0);
         }
-        Ok(RCholesky { l })
+        factor_lower_tiered(a.as_mut_slice(), n, &mut Vec::new())?;
+        Ok(RCholesky { l: a })
     }
 
     /// Dimension of the factorized matrix.
@@ -164,6 +152,112 @@ impl RCholesky {
     /// Log-determinant of `A`, computed as `2·Σ log Lᵢᵢ`.
     pub fn log_det(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
+    }
+}
+
+avx2_tiered! {
+    fn factor_lower_tiered(l: &mut [f64], n: usize, panel: &mut Vec<f64>) -> Result<()> =
+        factor_lower_body;
+}
+
+/// Overwrites the lower triangle of the row-major `n × n` matrix in `l`
+/// (upper triangle zero) with its Cholesky factor, one panel of
+/// [`PANEL`] columns at a time.
+#[inline(always)]
+fn factor_lower_body(l: &mut [f64], n: usize, panel: &mut Vec<f64>) -> Result<()> {
+    let mut jb = 0;
+    while jb < n {
+        let w = (n - jb).min(PANEL);
+        // Trailing update: subtract the k < jb terms from the panel's
+        // columns, rows jb.., in 4 × 8 tiles over L[jb..jb+w][..jb]ᵀ.
+        if jb > 0 {
+            pack_transposed(&l[jb * n..], n, jb, w, panel);
+            let mut i = jb;
+            while i < n {
+                let rows = (n - i).min(TILE_ROWS);
+                if rows == TILE_ROWS {
+                    update_tile::<TILE_ROWS>(l, n, i, jb, w, panel);
+                } else {
+                    for i in i..n {
+                        update_tile::<1>(l, n, i, jb, w, panel);
+                    }
+                }
+                i += rows;
+            }
+        }
+        // The panel itself: its diagonal block column by column, then each
+        // row below it, subtracting the jb ≤ k < j terms in k order.
+        let mut pivots = [0.0; PANEL];
+        for (q, pivot) in pivots[..w].iter_mut().enumerate() {
+            let j = jb + q;
+            let lj = &mut l[j * n..(j + 1) * n];
+            let mut d = lj[j];
+            for &x in &lj[jb..j] {
+                d -= x * x;
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite);
+            }
+            let dj = d.sqrt();
+            lj[j] = dj;
+            *pivot = dj;
+            for i in j + 1..jb + w {
+                finish_entry(l, n, i, j, jb, dj);
+            }
+        }
+        for i in jb + w..n {
+            for (q, &dj) in pivots[..w].iter().enumerate() {
+                finish_entry(l, n, i, jb + q, jb, dj);
+            }
+        }
+        jb += w;
+    }
+    Ok(())
+}
+
+/// `L[i][j] = (S[i][j] − Σ_{jb ≤ k < j} L[i][k]·L[j][k]) / L[j][j]`, with
+/// `S[i][j]` already in place.
+#[inline(always)]
+fn finish_entry(l: &mut [f64], n: usize, i: usize, j: usize, jb: usize, dj: f64) {
+    debug_assert!(j < i);
+    let (head, tail) = l.split_at_mut(i * n);
+    let lj = &head[j * n + jb..j * n + j];
+    let li = &mut tail[..n];
+    let mut s = li[j];
+    for (&x, &y) in li[jb..j].iter().zip(lj) {
+        s -= x * y;
+    }
+    li[j] = s / dj;
+}
+
+/// Rows `i .. i + R` of the panel at `jb` (width `w`): starts each lower
+/// entry from its value in `l` and subtracts `L[i][k]·L[jb + q][k]` for
+/// `k < jb`, in `k` order.
+#[inline(always)]
+fn update_tile<const R: usize>(
+    l: &mut [f64],
+    n: usize,
+    i: usize,
+    jb: usize,
+    w: usize,
+    panel: &[f64],
+) {
+    let mut acc = [[0.0; LANES]; R];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        let start = (i + r) * n + jb;
+        acc_r[..w].copy_from_slice(&l[start..start + w]);
+    }
+    let acc = tile::<R, true>(
+        std::array::from_fn(|r| &l[(i + r) * n..(i + r) * n + jb]),
+        panel,
+        acc,
+    );
+    for (r, acc_r) in acc.iter().enumerate() {
+        // Only entries on or below the diagonal: row i + r, columns
+        // jb ..= i + r.
+        let cols = (i + r + 1 - jb).min(w);
+        let start = (i + r) * n + jb;
+        l[start..start + cols].copy_from_slice(&acc_r[..cols]);
     }
 }
 
@@ -306,48 +400,109 @@ mod tests {
         assert!(chol.solve(&RVector::zeros(2)).is_err());
     }
 
-    /// The one-row-at-a-time factorization loop `RCholesky::new` replaced,
-    /// kept as its bitwise reference.
-    fn cholesky_reference(a: &RMatrix) -> RMatrix {
+    /// The four-rows-per-pass column loop the blocked `RCholesky::new`
+    /// replaced (itself bitwise equal to the textbook one-entry-at-a-time
+    /// loop), kept as its bitwise reference.
+    fn cholesky_reference(a: &RMatrix) -> Result<RMatrix> {
         let n = a.rows();
         let mut l = RMatrix::zeros(n, n);
         for j in 0..n {
+            let data = l.as_mut_slice();
+            let lj = &data[j * n..j * n + j];
             let mut d = a[(j, j)];
-            for k in 0..j {
-                d -= l[(j, k)] * l[(j, k)];
+            for &x in lj {
+                d -= x * x;
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite);
             }
             let dj = d.sqrt();
-            l[(j, j)] = dj;
-            for i in j + 1..n {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
+            let (head, tail) = data.split_at_mut((j + 1) * n);
+            head[j * n + j] = dj;
+            let lj = &head[j * n..j * n + j];
+            let mut i = j + 1;
+            while i + 4 <= n {
+                let base = (i - j - 1) * n;
+                let rows = &tail[base..base + 4 * n];
+                let mut s = [a[(i, j)], a[(i + 1, j)], a[(i + 2, j)], a[(i + 3, j)]];
+                for (k, &x) in lj.iter().enumerate() {
+                    s[0] -= rows[k] * x;
+                    s[1] -= rows[n + k] * x;
+                    s[2] -= rows[2 * n + k] * x;
+                    s[3] -= rows[3 * n + k] * x;
                 }
-                l[(i, j)] = s / dj;
+                for (r, v) in s.iter().enumerate() {
+                    tail[base + r * n + j] = v / dj;
+                }
+                i += 4;
+            }
+            for i in i..n {
+                let row = &mut tail[(i - j - 1) * n..(i - j) * n];
+                let mut s = a[(i, j)];
+                for (&x, &y) in row[..j].iter().zip(lj) {
+                    s -= x * y;
+                }
+                row[j] = s / dj;
             }
         }
-        l
+        Ok(l)
+    }
+
+    fn bits(m: &RMatrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A dense SPD matrix with a wide spread of magnitudes, and garbage in
+    /// its upper triangle (which the factorization must not read).
+    fn spd(n: usize) -> RMatrix {
+        let b = RMatrix::from_fn(n + 3, n, |r, c| {
+            ((r * 13 + c * 7) as f64 * 0.41).cos() * 10f64.powi((r % 3) as i32 - 1)
+        });
+        let mut a = b.gram();
+        a.add_diagonal(0.1);
+        for i in 0..n {
+            for j in i + 1..n {
+                a[(i, j)] = f64::NAN;
+            }
+        }
+        a
     }
 
     #[test]
     fn real_factor_matches_reference_bitwise() {
-        // Sizes around the four-row blocking, plus one large enough for
-        // many full blocks.
-        for n in [1, 2, 3, 4, 5, 8, 11, 67] {
-            let b = RMatrix::from_fn(n + 3, n, |r, c| ((r * 13 + c * 7) as f64 * 0.41).cos());
-            let mut a = b.gram();
-            a.add_diagonal(0.1);
+        // Sizes around the 4-row tile and the 8-column panel, including
+        // partial last panels and tiles, plus the calibration fit's 720.
+        for n in [0, 1, 2, 3, 4, 5, 7, 8, 9, 11, 37, 64, 65, 67, 300, 720] {
+            let a = spd(n);
+            let want = cholesky_reference(&a).unwrap();
             let got = RCholesky::new(&a).unwrap();
-            let want = cholesky_reference(&a);
-            assert!(
-                got.factor()
-                    .as_slice()
-                    .iter()
-                    .zip(want.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "factor differs at n = {n}"
+            assert_eq!(bits(got.factor()), bits(&want), "factor differs at n = {n}");
+            let owned = RCholesky::from_owned(a).unwrap();
+            assert_eq!(
+                bits(owned.factor()),
+                bits(&want),
+                "in-place factor differs at n = {n}"
             );
         }
+    }
+
+    #[test]
+    fn blocked_factor_rejects_where_the_loop_does() {
+        // A non-positive pivot in a late panel, past a partial tile.
+        for n in [9, 37, 65] {
+            let mut a = spd(n);
+            a[(n - 2, n - 2)] = -1.0;
+            assert!(cholesky_reference(&a).is_err());
+            assert!(matches!(
+                RCholesky::new(&a),
+                Err(LinalgError::NotPositiveDefinite)
+            ));
+            assert!(matches!(
+                RCholesky::from_owned(a),
+                Err(LinalgError::NotPositiveDefinite)
+            ));
+        }
+        assert!(RCholesky::from_owned(RMatrix::zeros(2, 3)).is_err());
     }
 
     #[test]

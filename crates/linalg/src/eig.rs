@@ -1,11 +1,21 @@
 //! Eigensolvers: Householder tridiagonalisation plus implicit QL for real
 //! symmetric matrices, cyclic Jacobi rotations for complex Hermitian ones.
+//!
+//! # Determinism
+//!
+//! [`symmetric_eig`] runs one source (`tridiagonalize` + `ql_implicit`)
+//! compiled twice: plain, and with AVX2 enabled on hosts whose
+//! [`crate::kernel_tier`] allows it. Every sum keeps its order and every
+//! product-plus-sum stays a separate multiply and add (Rust never fuses
+//! them), so the wider vectors only cover the element-wise updates that
+//! run across independent entries: the bits are the same on every tier.
 
 use crate::c64::C64;
 use crate::cmatrix::CMatrix;
 use crate::error::{LinalgError, Result};
 use crate::rmatrix::RMatrix;
 use crate::rvector::RVector;
+use crate::tiered::avx2_tiered;
 
 /// Maximum number of Jacobi sweeps before giving up.
 const MAX_SWEEPS: usize = 100;
@@ -77,8 +87,7 @@ pub fn symmetric_eig(a: &RMatrix) -> Result<SymmetricEig> {
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n];
     if n > 0 {
-        tridiagonalize(n, &mut w, &mut d, &mut e);
-        ql_implicit(n, &mut w, &mut d, &mut e)?;
+        tridiagonal_ql_tiered(n, &mut w, &mut d, &mut e)?;
     }
     let mut idx: Vec<usize> = (0..n).collect();
     idx.sort_by(|&i, &j| d[i].total_cmp(&d[j]));
@@ -88,10 +97,23 @@ pub fn symmetric_eig(a: &RMatrix) -> Result<SymmetricEig> {
     Ok(SymmetricEig { values, vectors })
 }
 
+avx2_tiered! {
+    fn tridiagonal_ql_tiered(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Result<()> =
+        tridiagonal_ql;
+}
+
+/// [`tridiagonalize`] then [`ql_implicit`].
+#[inline(always)]
+fn tridiagonal_ql(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Result<()> {
+    tridiagonalize(n, w, d, e);
+    ql_implicit(n, w, d, e)
+}
+
 /// Householder reduction of the symmetric matrix held in `w` to tridiagonal
 /// form (`tred2`): on return `d` is the diagonal, `e[1..]` the subdiagonal
 /// (`e[0] = 0`) and `w` holds Vᵀ, the accumulated orthogonal
 /// transformation, transposed. `V[r][c]` lives at `w[c·n + r]`.
+#[inline(always)]
 fn tridiagonalize(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
     for j in 0..n {
         d[j] = w[j * n + n - 1];
@@ -193,6 +215,7 @@ fn tridiagonalize(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) {
 /// Implicit QL iteration on the tridiagonal matrix `(d, e)` from
 /// [`tridiagonalize`] (`tql2`), rotating the rows of Vᵀ in `w` along.
 /// Leaves the eigenvalues, unsorted, in `d`.
+#[inline(always)]
 fn ql_implicit(n: usize, w: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Result<()> {
     for i in 1..n {
         e[i - 1] = e[i];
@@ -519,6 +542,50 @@ mod tests {
                 let vtv = v.transpose().mul_mat(v).unwrap();
                 let ortho = (&vtv - &RMatrix::identity(n)).frobenius_norm();
                 assert!(ortho <= bound, "{name} n={n}: ‖VᵀV − I‖ = {ortho:e}");
+            }
+        }
+    }
+
+    /// `symmetric_eig` as it was before the tiered build: the same two
+    /// passes, called directly, so always compiled without AVX2. Kept as
+    /// the bitwise reference.
+    fn symmetric_eig_reference(a: &RMatrix) -> (Vec<f64>, Vec<f64>) {
+        let n = a.rows();
+        let mut m = a.clone();
+        m.symmetrize();
+        let mut w = m.as_slice().to_vec();
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        if n > 0 {
+            tridiagonalize(n, &mut w, &mut d, &mut e);
+            ql_implicit(n, &mut w, &mut d, &mut e).unwrap();
+        }
+        let mut idx: Vec<usize> = (0..n).collect();
+        idx.sort_by(|&i, &j| d[i].total_cmp(&d[j]));
+        let values = idx.iter().map(|&i| d[i]).collect();
+        let vectors = (0..n * n).map(|k| w[idx[k % n] * n + k / n]).collect();
+        (values, vectors)
+    }
+
+    #[test]
+    fn sym_eig_matches_plain_build_bitwise() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for n in [0, 1, 3, 5, 7, 8, 9, 37, 64, 65, 300] {
+            for (name, a) in eig_cases(n.max(1), &mut rng) {
+                let a = if n == 0 { RMatrix::zeros(0, 0) } else { a };
+                let eig = symmetric_eig(&a).unwrap();
+                let (values, vectors) = symmetric_eig_reference(&a);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(eig.values.as_slice()),
+                    bits(&values),
+                    "{name} n={n}: values"
+                );
+                assert_eq!(
+                    bits(eig.vectors.as_slice()),
+                    bits(&vectors),
+                    "{name} n={n}: vectors"
+                );
             }
         }
     }

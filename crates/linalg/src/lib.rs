@@ -60,6 +60,7 @@ mod lu;
 mod qr;
 mod rmatrix;
 mod rvector;
+mod tiered;
 
 pub mod random;
 
@@ -73,5 +74,5 @@ pub use gemm::{gemm_into, mzi_rotate, scale_slice, CPanel};
 pub use gemm32::{gemm32_into, kernel_tier, KernelTier, Matrix32, Panel32};
 pub use lu::{CLu, RLu};
 pub use qr::CQr;
-pub use rmatrix::RMatrix;
+pub use rmatrix::{RMatrix, ROW_GRAM_BAND};
 pub use rvector::RVector;

@@ -15,6 +15,25 @@ use crate::qr::CQr;
 use crate::rmatrix::RMatrix;
 use crate::rvector::RVector;
 
+/// SplitMix64 finalizer: a high-quality 64-bit mixing function, the one
+/// hash the workspace derives seeds, jitter and fault draws from.
+///
+/// # Examples
+///
+/// ```
+/// use photon_linalg::random::splitmix64;
+///
+/// assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+/// assert_ne!(splitmix64(1), splitmix64(2));
+/// ```
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// Draws one standard-normal sample via the Box-Muller transform.
 ///
 /// `rand` 0.8 does not bundle a normal distribution (that lives in

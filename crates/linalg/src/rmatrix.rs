@@ -1,14 +1,29 @@
 //! Dense real matrices (row-major).
+//!
+//! # Determinism
+//!
+//! The row Gram `A·Aᵀ` ([`RMatrix::row_gram`], [`RMatrix::row_gram_band`])
+//! runs on register tiles of 4 rows × 8 columns of the result. Each entry
+//! keeps its own running sum from `0.0` and takes its products in column
+//! order, one multiply and one add per term (never fused). The vector
+//! lanes run across independent entries only, so the bits are those of the
+//! plain dot-product loop on every kernel tier and at any thread count.
 
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-
 use crate::error::{LinalgError, Result};
 use crate::rvector::RVector;
+use crate::tiered::{avx2_tiered, pack_transposed, tile, LANES};
 
 /// Rows of the Gram triangle [`RMatrix::gram`] fills per pass over `A`.
 const GRAM_BAND: usize = 64;
+
+/// Rows of `A·Aᵀ` one [`RMatrix::row_gram_band`] call fills.
+pub const ROW_GRAM_BAND: usize = LANES;
+
+/// Rows of `A` per register tile of the row Gram.
+const TILE_ROWS: usize = 4;
 
 /// A dense, row-major real (`f64`) matrix.
 ///
@@ -345,46 +360,47 @@ impl RMatrix {
     /// is the dot product of rows `i` and `j`, summed in column order.
     ///
     /// Bitwise equal to `self.transpose().gram()` without the transposed
-    /// copy. Four dot products run side by side, each on its own
-    /// accumulator, so the adds overlap without reordering any sum.
+    /// copy: [`RMatrix::row_gram_band`] run over every band, then the upper
+    /// triangle mirrored.
     pub fn row_gram(&self) -> RMatrix {
         let m = self.rows;
         let mut g = RMatrix::zeros(m, m);
-        for i in 0..m {
-            let ri = self.row(i);
-            let mut j = i;
-            while j + 4 <= m {
-                let cols = ri.len();
-                let (r0, r1, r2, r3) = (
-                    &self.row(j)[..cols],
-                    &self.row(j + 1)[..cols],
-                    &self.row(j + 2)[..cols],
-                    &self.row(j + 3)[..cols],
-                );
-                let mut acc = [0.0f64; 4];
-                for c in 0..cols {
-                    let a = ri[c];
-                    acc[0] += a * r0[c];
-                    acc[1] += a * r1[c];
-                    acc[2] += a * r2[c];
-                    acc[3] += a * r3[c];
-                }
-                g.data[i * m + j..i * m + j + 4].copy_from_slice(&acc);
-                j += 4;
-            }
-            for j in j..m {
-                g.data[i * m + j] = ri
-                    .iter()
-                    .zip(self.row(j))
-                    .fold(0.0, |acc, (a, b)| acc + a * b);
-            }
+        let mut panel = Vec::new();
+        for (band, rows) in g.data.chunks_mut(ROW_GRAM_BAND * m.max(1)).enumerate() {
+            self.row_gram_band(band, rows, &mut panel);
         }
         g.mirror_upper();
         g
     }
 
+    /// One band of [`RMatrix::row_gram`]: fills rows `b·B .. min((b+1)·B,
+    /// rows)` of `A·Aᵀ` (`B` = [`ROW_GRAM_BAND`]) on and right of the
+    /// diagonal. `out` is those rows, row-major, `rows()` wide; entries left
+    /// of the diagonal are scratch that [`RMatrix::mirror_upper`] overwrites.
+    /// `panel` is reusable packing scratch.
+    ///
+    /// Bands write disjoint rows, so they can run on any number of threads
+    /// with the same bits: each entry is one dot product of two rows of `A`,
+    /// summed in column order from `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the band is out of range or `out` is not exactly its rows.
+    pub fn row_gram_band(&self, band: usize, out: &mut [f64], panel: &mut Vec<f64>) {
+        let j0 = band * ROW_GRAM_BAND;
+        assert!(j0 < self.rows, "row-Gram band {band} out of range");
+        let height = (self.rows - j0).min(ROW_GRAM_BAND);
+        assert_eq!(out.len(), height * self.rows, "row-Gram band rows mismatch");
+        row_gram_band_tiered(&self.data, self.rows, self.cols, j0, out, panel);
+    }
+
     /// Copies the upper triangle onto the lower one (square only).
-    fn mirror_upper(&mut self) {
+    ///
+    /// # Panics
+    ///
+    /// Panics for non-square matrices.
+    pub fn mirror_upper(&mut self) {
+        assert!(self.is_square(), "mirror_upper requires a square matrix");
         let n = self.rows;
         for i in 0..n {
             for j in i + 1..n {
@@ -411,6 +427,54 @@ impl RMatrix {
                 self[(r, c)] = avg;
                 self[(c, r)] = avg;
             }
+        }
+    }
+}
+
+avx2_tiered! {
+    fn row_gram_band_tiered(
+        a: &[f64],
+        m: usize,
+        n: usize,
+        j0: usize,
+        out: &mut [f64],
+        panel: &mut Vec<f64>,
+    ) = row_gram_band_body;
+}
+
+/// Rows `j0 .. j0 + ROW_GRAM_BAND` of `A·Aᵀ` for the `m × n` row-major `a`:
+/// entry `(j0 + q, i)`, `i ≥ j0`, is tile entry `(i, q)` over the panel of
+/// rows `j0..` transposed.
+#[inline(always)]
+fn row_gram_band_body(
+    a: &[f64],
+    m: usize,
+    n: usize,
+    j0: usize,
+    out: &mut [f64],
+    panel: &mut Vec<f64>,
+) {
+    let height = (m - j0).min(ROW_GRAM_BAND);
+    pack_transposed(&a[j0 * n..], n, n, height, panel);
+    let row = |i: usize| &a[i * n..(i + 1) * n];
+    let mut i = j0;
+    while i + TILE_ROWS <= m {
+        let acc = tile::<TILE_ROWS, false>(
+            std::array::from_fn(|r| row(i + r)),
+            panel,
+            [[0.0; LANES]; TILE_ROWS],
+        );
+        for (r, acc_r) in acc.iter().enumerate() {
+            for (q, &v) in acc_r[..height].iter().enumerate() {
+                out[q * m + i + r] = v;
+            }
+        }
+        i += TILE_ROWS;
+    }
+    for i in i..m {
+        let [acc] = tile::<1, false>([row(i)], panel, [[0.0; LANES]]);
+        for (q, &v) in acc[..height].iter().enumerate() {
+            out[q * m + i] = v;
         }
     }
 }
@@ -573,31 +637,98 @@ mod tests {
         })
     }
 
+    /// The four-wide dot-product loop the tiled `row_gram` replaced, kept
+    /// as its bitwise reference.
+    fn row_gram_reference(a: &RMatrix) -> RMatrix {
+        let m = a.rows();
+        let mut g = RMatrix::zeros(m, m);
+        for i in 0..m {
+            let ri = a.row(i);
+            let mut j = i;
+            while j + 4 <= m {
+                let cols = ri.len();
+                let (r0, r1, r2, r3) = (
+                    &a.row(j)[..cols],
+                    &a.row(j + 1)[..cols],
+                    &a.row(j + 2)[..cols],
+                    &a.row(j + 3)[..cols],
+                );
+                let mut acc = [0.0f64; 4];
+                for c in 0..cols {
+                    let x = ri[c];
+                    acc[0] += x * r0[c];
+                    acc[1] += x * r1[c];
+                    acc[2] += x * r2[c];
+                    acc[3] += x * r3[c];
+                }
+                g.data[i * m + j..i * m + j + 4].copy_from_slice(&acc);
+                j += 4;
+            }
+            for j in j..m {
+                g.data[i * m + j] = ri.iter().zip(a.row(j)).fold(0.0, |acc, (x, y)| acc + x * y);
+            }
+        }
+        g.mirror_upper();
+        g
+    }
+
+    fn bits(m: &RMatrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn gram_and_row_gram_match_reference_bitwise() {
         // Shapes straddle the band width and the four-wide row blocking.
         for &(rows, cols) in &[(1, 1), (3, 2), (7, 70), (70, 7), (133, 131)] {
             let a = wavy(rows, cols);
-            let want = gram_reference(&a);
-            let got = a.gram();
-            assert!(
-                got.as_slice()
-                    .iter()
-                    .zip(want.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+            assert_eq!(
+                bits(&a.gram()),
+                bits(&gram_reference(&a)),
                 "gram differs at {rows}x{cols}"
             );
-            let want_rows = gram_reference(&a.transpose());
-            let got_rows = a.row_gram();
-            assert!(
-                got_rows
-                    .as_slice()
-                    .iter()
-                    .zip(want_rows.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+            assert_eq!(
+                bits(&a.row_gram()),
+                bits(&gram_reference(&a.transpose())),
                 "row_gram differs at {rows}x{cols}"
             );
         }
+    }
+
+    #[test]
+    fn tiled_row_gram_matches_pre_tile_loop_bitwise() {
+        // Row counts on both sides of the 4-row tile and the 8-row band,
+        // including partial last bands and tiles.
+        for rows in [0, 1, 3, 5, 7, 8, 9, 37, 64, 65, 300] {
+            for cols in [0, 1, 5, 9, 40] {
+                let a = wavy(rows, cols);
+                assert_eq!(
+                    bits(&a.row_gram()),
+                    bits(&row_gram_reference(&a)),
+                    "row_gram differs at {rows}x{cols}"
+                );
+            }
+        }
+        // The calibration fit's shape at K = 12.
+        let a = wavy(720, 840);
+        assert_eq!(
+            bits(&a.row_gram()),
+            bits(&row_gram_reference(&a)),
+            "row_gram differs at 720x840"
+        );
+    }
+
+    #[test]
+    fn row_gram_bands_fill_disjoint_rows_in_any_order() {
+        let a = wavy(37, 11);
+        let mut g = RMatrix::zeros(37, 37);
+        let mut panel = Vec::new();
+        let mut bands: Vec<_> = g.data.chunks_mut(ROW_GRAM_BAND * 37).enumerate().collect();
+        bands.reverse();
+        for (band, rows) in bands {
+            a.row_gram_band(band, rows, &mut panel);
+        }
+        g.mirror_upper();
+        assert_eq!(bits(&g), bits(&row_gram_reference(&a)));
     }
 
     #[test]

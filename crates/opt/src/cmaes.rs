@@ -12,6 +12,49 @@ use rand::Rng;
 use photon_linalg::random::standard_normal;
 use photon_linalg::{symmetric_eig, LinalgError, RMatrix, RVector};
 
+/// Rows of `B` one pass of [`mul_rows`] walks side by side.
+const MUL_ROWS: usize = 8;
+
+/// `B·z`, walking the rows of `B` [`MUL_ROWS`] at a time: entry `r` sums
+/// `B[r][c]·z[c]` over `c` in order from `0.0`, skipping the terms with
+/// `z[c] == 0` when `SKIP_ZERO` (adding a zero term could flip the sign of
+/// a zero sum). These are the bits of the column-by-column `axpy` loop.
+fn mul_rows<const SKIP_ZERO: bool>(b: &RMatrix, z: &[f64]) -> Vec<f64> {
+    let n = z.len();
+    assert_eq!(b.cols(), n, "B·z length mismatch");
+    let row = |r: usize| &b.as_slice()[r * n..(r + 1) * n];
+    let mut y = vec![0.0; b.rows()];
+    for (r0, ys) in y.chunks_mut(MUL_ROWS).enumerate() {
+        let r0 = r0 * MUL_ROWS;
+        if ys.len() == MUL_ROWS {
+            ys.copy_from_slice(&dots::<MUL_ROWS, SKIP_ZERO>(
+                std::array::from_fn(|q| row(r0 + q)),
+                z,
+            ));
+        } else {
+            for (q, yr) in ys.iter_mut().enumerate() {
+                [*yr] = dots::<1, SKIP_ZERO>([row(r0 + q)], z);
+            }
+        }
+    }
+    y
+}
+
+/// `R` dot products `rows[q]·z` side by side, each on its own accumulator.
+#[inline]
+fn dots<const R: usize, const SKIP_ZERO: bool>(rows: [&[f64]; R], z: &[f64]) -> [f64; R] {
+    let rows = rows.map(|row| &row[..z.len()]);
+    let mut acc = [0.0; R];
+    for (c, &zc) in z.iter().enumerate() {
+        if !SKIP_ZERO || zc != 0.0 {
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                *a += row[c] * zc;
+            }
+        }
+    }
+    acc
+}
+
 /// The CMA-ES optimizer state.
 ///
 /// # Examples
@@ -160,21 +203,18 @@ impl CmaEs {
 
     /// Samples one population of λ candidates.
     pub fn ask<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<RVector> {
+        let mut dz = vec![0.0; self.dim];
         (0..self.lambda)
             .map(|_| {
-                let z = RVector::from_fn(self.dim, |_| standard_normal(rng));
-                // y = B·D·z
-                let mut y = RVector::zeros(self.dim);
-                for c in 0..self.dim {
-                    let zc = self.eig_sqrt[c] * z[c];
-                    if zc != 0.0 {
-                        for r in 0..self.dim {
-                            y[r] += self.eig_vectors[(r, c)] * zc;
-                        }
-                    }
+                for (zc, d) in dz.iter_mut().zip(self.eig_sqrt.iter()) {
+                    *zc = d * standard_normal(rng);
                 }
+                // y = B·D·z
+                let y = mul_rows::<true>(&self.eig_vectors, &dz);
                 let mut x = self.mean.clone();
-                x.axpy(self.sigma, &y);
+                for (xr, yr) in x.iter_mut().zip(y) {
+                    *xr += self.sigma * yr;
+                }
                 x
             })
             .collect()
@@ -219,13 +259,12 @@ impl CmaEs {
         // Mean displacement in "z-space": C^{-1/2}·(m' − m)/σ = B·D⁻¹·Bᵀ·Δ.
         let delta = (&self.mean - &old_mean).scale(1.0 / self.sigma);
         let bt_delta = self.eig_vectors.transpose_mul_vec(&delta)?;
-        let mut z_disp = RVector::zeros(self.dim);
-        for c in 0..self.dim {
-            let scaled = bt_delta[c] / self.eig_sqrt[c].max(1e-30);
-            for r in 0..self.dim {
-                z_disp[r] += self.eig_vectors[(r, c)] * scaled;
-            }
-        }
+        let scaled: Vec<f64> = bt_delta
+            .iter()
+            .zip(self.eig_sqrt.iter())
+            .map(|(b, d)| b / d.max(1e-30))
+            .collect();
+        let z_disp = RVector::from_vec(mul_rows::<false>(&self.eig_vectors, &scaled));
 
         // Step-size path.
         let cs = self.cs;
@@ -246,23 +285,41 @@ impl CmaEs {
         self.pc = self.pc.scale(1.0 - cc);
         self.pc.axpy(pc_coef, &delta);
 
-        // Rank-one + rank-μ covariance update.
+        // Rank-one + rank-μ covariance update, in place: per entry the
+        // terms of `C·decay + c1·pc·pcᵀ (+ stall·C) + Σ cmu·w·y·yᵀ` add in
+        // that order, each as `α·(a[r]·a[c])`.
         let c1 = self.c1;
         let cmu = self.cmu;
         let decay = 1.0 - c1 - cmu;
-        let mut new_cov = self.cov.scale(decay);
-        let rank1 = RMatrix::outer(&self.pc, &self.pc);
-        new_cov.axpy(c1, &rank1);
-        if hsig == 0.0 {
-            // Compensate the variance loss when pc is stalled.
-            new_cov.axpy(c1 * cc * (2.0 - cc), &self.cov);
+        // Compensates the variance loss when pc is stalled.
+        let stall = (hsig == 0.0).then_some(c1 * cc * (2.0 - cc));
+        let inv_sigma = 1.0 / self.sigma;
+        let parents: Vec<(f64, RVector)> = self
+            .weights
+            .iter()
+            .zip(&order)
+            .map(|(w, &idx)| (cmu * w, (&candidates[idx] - &old_mean).scale(inv_sigma)))
+            .collect();
+        let n = self.dim;
+        for (r, row) in self.cov.as_mut_slice().chunks_exact_mut(n).enumerate() {
+            let pc_r = self.pc[r];
+            for (entry, &pc_c) in row.iter_mut().zip(self.pc.iter()) {
+                let old = *entry;
+                let mut v = old * decay;
+                v += c1 * (pc_r * pc_c);
+                if let Some(stall) = stall {
+                    v += stall * old;
+                }
+                *entry = v;
+            }
+            for (alpha, y) in &parents {
+                let y_r = y[r];
+                for (entry, &y_c) in row.iter_mut().zip(y.iter()) {
+                    *entry += alpha * (y_r * y_c);
+                }
+            }
         }
-        for (w, &idx) in self.weights.iter().zip(&order) {
-            let y = (&candidates[idx] - &old_mean).scale(1.0 / self.sigma);
-            new_cov.axpy(cmu * w, &RMatrix::outer(&y, &y));
-        }
-        new_cov.symmetrize();
-        self.cov = new_cov;
+        self.cov.symmetrize();
 
         // Step-size adaptation.
         self.sigma *= ((cs / self.damps) * (ps_norm / self.chi_n - 1.0)).exp();
@@ -523,6 +580,135 @@ mod tests {
         assert_eq!(es.sigma().to_bits(), restored.sigma().to_bits());
         assert_eq!(es.generation(), restored.generation());
         assert_eq!(es.snapshot(), restored.snapshot());
+    }
+
+    /// `ask` as it was before the row walk: `B·D·z` column by column.
+    fn reference_ask(es: &CmaEs, rng: &mut StdRng) -> Vec<RVector> {
+        (0..es.lambda)
+            .map(|_| {
+                let z = RVector::from_fn(es.dim, |_| standard_normal(rng));
+                let mut y = RVector::zeros(es.dim);
+                for c in 0..es.dim {
+                    let zc = es.eig_sqrt[c] * z[c];
+                    if zc != 0.0 {
+                        for r in 0..es.dim {
+                            y[r] += es.eig_vectors[(r, c)] * zc;
+                        }
+                    }
+                }
+                let mut x = es.mean.clone();
+                x.axpy(es.sigma, &y);
+                x
+            })
+            .collect()
+    }
+
+    /// `tell` as it was before the in-place update: a column-by-column
+    /// `z_disp` and one `N×N` outer product per covariance term. Returns
+    /// `hsig`.
+    fn reference_tell(es: &mut CmaEs, candidates: &[RVector], losses: &[f64]) -> f64 {
+        let mut order: Vec<usize> = (0..es.lambda).collect();
+        order.sort_by(|&a, &b| losses[a].total_cmp(&losses[b]));
+        if es.best.as_ref().is_none_or(|(_, b)| losses[order[0]] < *b) {
+            es.best = Some((candidates[order[0]].clone(), losses[order[0]]));
+        }
+        let old_mean = es.mean.clone();
+        let mut new_mean = RVector::zeros(es.dim);
+        for (w, &idx) in es.weights.iter().zip(&order) {
+            new_mean.axpy(*w, &candidates[idx]);
+        }
+        es.mean = new_mean;
+        let delta = (&es.mean - &old_mean).scale(1.0 / es.sigma);
+        let bt_delta = es.eig_vectors.transpose_mul_vec(&delta).unwrap();
+        let mut z_disp = RVector::zeros(es.dim);
+        for c in 0..es.dim {
+            let scaled = bt_delta[c] / es.eig_sqrt[c].max(1e-30);
+            for r in 0..es.dim {
+                z_disp[r] += es.eig_vectors[(r, c)] * scaled;
+            }
+        }
+        let cs = es.cs;
+        let ps_coef = (cs * (2.0 - cs) * es.mueff).sqrt();
+        es.ps = es.ps.scale(1.0 - cs);
+        es.ps.axpy(ps_coef, &z_disp);
+        let gen_f = (es.generation + 1) as f64;
+        let ps_norm = es.ps.norm();
+        let hsig_thresh = (1.4 + 2.0 / (es.dim as f64 + 1.0))
+            * es.chi_n
+            * (1.0 - (1.0 - cs).powf(2.0 * gen_f)).sqrt();
+        let hsig = if ps_norm < hsig_thresh { 1.0 } else { 0.0 };
+        let cc = es.cc;
+        let pc_coef = hsig * (cc * (2.0 - cc) * es.mueff).sqrt();
+        es.pc = es.pc.scale(1.0 - cc);
+        es.pc.axpy(pc_coef, &delta);
+        let (c1, cmu) = (es.c1, es.cmu);
+        let mut new_cov = es.cov.scale(1.0 - c1 - cmu);
+        new_cov.axpy(c1, &RMatrix::outer(&es.pc, &es.pc));
+        if hsig == 0.0 {
+            new_cov.axpy(c1 * cc * (2.0 - cc), &es.cov);
+        }
+        for (w, &idx) in es.weights.iter().zip(&order) {
+            let y = (&candidates[idx] - &old_mean).scale(1.0 / es.sigma);
+            new_cov.axpy(cmu * w, &RMatrix::outer(&y, &y));
+        }
+        new_cov.symmetrize();
+        es.cov = new_cov;
+        es.sigma *= ((cs / es.damps) * (ps_norm / es.chi_n - 1.0)).exp();
+        es.sigma = es.sigma.clamp(1e-12, 1e12);
+        es.generation += 1;
+        es.generations_since_eig += 1;
+        if es.generations_since_eig >= es.eig_gap {
+            es.refresh_eigensystem().unwrap();
+            es.generations_since_eig = 0;
+        }
+        hsig
+    }
+
+    fn state_bits(es: &CmaEs) -> Vec<u64> {
+        let s = es.snapshot();
+        let mut bits: Vec<u64> = [&s.mean, &s.pc, &s.ps, &s.eig_sqrt]
+            .iter()
+            .flat_map(|v| v.iter().map(|x| x.to_bits()))
+            .collect();
+        bits.extend(s.cov.as_slice().iter().map(|x| x.to_bits()));
+        bits.extend(s.eig_vectors.as_slice().iter().map(|x| x.to_bits()));
+        bits.push(s.sigma.to_bits());
+        bits
+    }
+
+    #[test]
+    fn ask_and_tell_match_pre_change_loops_bitwise() {
+        // Sizes around the 8-row walk; a shifted optimum keeps the early
+        // generations' step-size path long, so the stalled-`pc` term runs.
+        let mut stalled = 0;
+        for n in [1, 3, 8, 9, 37] {
+            let mut es = CmaEs::new(&RVector::from_fn(n, |i| (i as f64).sin()), 0.5);
+            let mut reference = es.clone();
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            for _ in 0..30 {
+                let mut rng_ref = rng.clone();
+                let xs = es.ask(&mut rng);
+                let xs_ref = reference_ask(&reference, &mut rng_ref);
+                for (x, x_ref) in xs.iter().zip(&xs_ref) {
+                    let bits = |v: &RVector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(x), bits(x_ref), "ask differs at n={n}");
+                }
+                let losses: Vec<f64> = xs
+                    .iter()
+                    .map(|x| (x - &RVector::from_fn(n, |_| 3.0)).norm_sqr())
+                    .collect();
+                es.tell(&xs, &losses).unwrap();
+                if reference_tell(&mut reference, &xs, &losses) == 0.0 {
+                    stalled += 1;
+                }
+                assert_eq!(
+                    state_bits(&es),
+                    state_bits(&reference),
+                    "tell differs at n={n}"
+                );
+            }
+        }
+        assert!(stalled > 0, "the stalled-pc branch never ran");
     }
 
     #[test]

@@ -78,11 +78,16 @@ EOF
 # SIMD tier the host dispatches natively (AVX2-FMA / NEON / scalar). This is
 # what makes the vector kernels trustworthy: same tests, both arithmetics.
 # The photonics property suite rides along: its Fisher-Gram checks run the
-# dual sweep through the same row kernels.
+# dual sweep through the same row kernels. So do the linalg, calib and opt
+# suites: the f64 tile kernels (row Gram, blocked Cholesky, eigensolver)
+# must match their pre-tile reference loops bit for bit on both tiers, and
+# the K=12 calibration fit must be bitwise identical at every pool size.
 PHOTON_KERNEL=scalar cargo test -q --offline --test fast_path --test compiled_equivalence
 cargo test -q --offline --test fast_path --test compiled_equivalence
 PHOTON_KERNEL=scalar cargo test -q --offline -p photon-photonics --test proptest_photonics
 cargo test -q --offline -p photon-photonics --test proptest_photonics
+PHOTON_KERNEL=scalar cargo test -q --offline -p photon-linalg -p photon-calib -p photon-opt
+cargo test -q --offline -p photon-linalg -p photon-calib -p photon-opt
 
 # Fast-path perf gate: smoke-run the tier-stack bench. Regenerates
 # BENCH_simd.json and fails if no fast tier clears 2x over the plain
